@@ -5,9 +5,10 @@ adjusting assignments, in response to context-switches and changing
 demands of the system."  Three schedulers on the same mix:
 
 * static random (the paper's proxy for an over-committed VMM);
-* dynamic random churn (threads re-dealt every interval — real churn);
-* dynamic affinity healing (threads migrated back toward their VM's
-  dominant cache).
+* dynamic random churn (the ``churn`` scheduling policy: threads
+  re-dealt every control epoch — real churn);
+* dynamic affinity healing (the ``heal`` policy: threads migrated back
+  toward their VM's dominant cache).
 
 The hypothesis the paper implies: churn costs performance through lost
 cache affinity, and a dynamic policy that restores affinity recovers
@@ -27,10 +28,10 @@ def data():
     return {
         "static affinity": run("mixC", policy="affinity"),
         "static random": run("mixC", policy="random"),
-        "dynamic churn": run("mixC", policy="random", rebind="random",
-                             rebind_interval=INTERVAL),
-        "dynamic affinity": run("mixC", policy="random", rebind="affinity",
-                                rebind_interval=INTERVAL),
+        "dynamic churn": run("mixC", policy="random", sched_policy="churn",
+                             sched_epoch=INTERVAL),
+        "dynamic affinity": run("mixC", policy="random", sched_policy="heal",
+                                sched_epoch=INTERVAL),
     }
 
 

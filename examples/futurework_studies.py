@@ -6,8 +6,9 @@ runnable here:
 
 1. **Over-commitment** — more thread contexts than cores, with real
    quantum switching instead of the random-placement proxy.
-2. **Dynamic scheduling** — threads migrated at runtime: random churn
-   versus an affinity-healing policy.
+2. **Dynamic scheduling** — threads migrated at runtime by the
+   ``churn`` and ``heal`` scheduling policies: random churn versus
+   affinity healing.
 3. **Performance isolation** — per-VM way quotas in the shared caches
    (the conclusion's proposal).
 4. **Phase alignment** — bursty phased workloads slid against each
@@ -52,10 +53,10 @@ def main() -> None:
                  mean_missrate(packed)])
 
     print("2/4 dynamic scheduling ...")
-    churn = run_experiment(spec(policy="random", rebind="random",
-                                rebind_interval=60_000))
-    heal = run_experiment(spec(policy="random", rebind="affinity",
-                               rebind_interval=60_000))
+    churn = run_experiment(spec(policy="random", sched_policy="churn",
+                                sched_epoch=60_000))
+    heal = run_experiment(spec(policy="random", sched_policy="heal",
+                               sched_epoch=60_000))
     rows.append(["dynamic random churn", mean_cycles(churn),
                  mean_missrate(churn)])
     rows.append(["dynamic affinity healing", mean_cycles(heal),

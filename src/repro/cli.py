@@ -136,10 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_qos_flags(run_p)
     _add_sched_flags(run_p)
     _add_engine_flag(run_p)
-    run_p.add_argument("--rebind", default="", choices=("", "random",
-                                                        "affinity"),
-                       help="dynamic thread rebinding policy")
-    run_p.add_argument("--rebind-interval", type=int, default=100_000)
     run_p.add_argument("--phase-plan", default="",
                        help="named workload phase plan (e.g. 'burst')")
     run_p.add_argument("--normalize", action="store_true",
@@ -568,8 +564,8 @@ def _add_qos_flags(parser) -> None:
 def _add_sched_flags(parser) -> None:
     parser.add_argument("--sched-policy", default="",
                         help="adaptive scheduling policy (static, "
-                             "contention, adaptive, hetero); "
-                             "empty = off")
+                             "contention, adaptive, hetero, churn, "
+                             "heal); empty = off")
     parser.add_argument("--sched-epoch", type=int, default=10_000,
                         help="scheduling control period in cycles")
     parser.add_argument("--core-speeds", default="",
@@ -646,8 +642,6 @@ def _spec_from_args(args) -> ExperimentSpec:
         slots_per_core=args.slots_per_core,
         start_stagger=args.stagger,
         l2_vm_quota=args.vm_quota,
-        rebind=args.rebind,
-        rebind_interval=args.rebind_interval,
         phase_plan=args.phase_plan,
         qos_policy=args.qos_policy,
         qos_target=args.qos_target,

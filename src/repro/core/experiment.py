@@ -61,6 +61,7 @@ __all__ = [
     "ExperimentSpec",
     "ChipSummary",
     "ExperimentResult",
+    "engine_needs",
     "resolve_defaults",
     "resolve_mix",
     "run_experiment",
@@ -163,20 +164,16 @@ class ExperimentSpec:
     phase_plan:
         Name of a registered workload phase plan (see
         :mod:`repro.workloads.phases`); empty = steady behaviour.
-    rebind, rebind_interval:
-        Dynamic thread migration: ``"random"`` (churn) or
-        ``"affinity"`` (healing), rebalanced every
-        ``rebind_interval`` cycles.  Empty = static binding (the
-        paper's methodology).
     dir_cache_entries:
         Per-tile directory-cache capacity override; 0 = the machine
         default (16K entries).
     sched_policy:
         Adaptive scheduling policy (see :mod:`repro.sched`):
         ``"static"`` (the no-op baseline, byte-identical to no
-        scheduler), ``"contention"``, ``"adaptive"``, or ``"hetero"``.
-        Empty (default) disables the scheduling layer entirely.
-        Mutually exclusive with ``rebind`` — both migrate threads.
+        scheduler), ``"contention"``, ``"adaptive"``, ``"hetero"``, or
+        the Section VII dynamic-binding studies ``"churn"`` (random
+        re-deal) and ``"heal"`` (affinity healing).  Empty (default)
+        disables the scheduling layer entirely.
     sched_epoch:
         Control period in simulated cycles between scheduling
         decisions.
@@ -205,9 +202,9 @@ class ExperimentSpec:
         curve actuated by a
         :class:`~repro.scenarios.hook.ScenarioHook` at the scenario's
         epoch.  Empty = a static run (the paper's methodology).
-        Mutually exclusive with ``phase_plan``, ``vm_schedule``,
-        ``start_stagger``, and ``rebind`` — the scenario owns all of
-        those axes; composes with ``qos_policy`` and ``sched_policy``.
+        Mutually exclusive with ``phase_plan``, ``vm_schedule``, and
+        ``start_stagger`` — the scenario owns all of those axes;
+        composes with ``qos_policy`` and ``sched_policy``.
     engine_mode:
         Execution kernel (see :mod:`repro.sim.factory`):
         ``"reference"`` (event-driven, the default), ``"batched"``
@@ -233,8 +230,6 @@ class ExperimentSpec:
     qos_target: float = 0.0
     qos_epoch: int = 10_000
     phase_plan: str = ""
-    rebind: str = ""
-    rebind_interval: int = 100_000
     dir_cache_entries: int = 0  # 0 = machine default (16K per tile)
     sched_policy: str = ""
     sched_epoch: int = 10_000
@@ -264,6 +259,24 @@ class ExperimentSpec:
         return SharingDegree.from_name(self.sharing)
 
 
+def engine_needs(spec: ExperimentSpec) -> frozenset:
+    """Engine capabilities a run of ``spec`` requires.
+
+    The single source of engine gating: ``engine_mode="auto"`` resolves
+    against it (:func:`resolve_defaults`) and the engine request
+    carries it (:func:`run_experiment`), so the two cannot drift.  See
+    :data:`repro.sim.factory.CAPABILITIES` for the names.
+    """
+    flags = {
+        "overcommit": spec.slots_per_core > 1,
+        "migration": bool(spec.sched_policy),
+        "scenario": bool(spec.scenario),
+        "heterogeneous": bool(spec.core_speeds or spec.l2_asym),
+        "churn": bool(spec.vm_schedule),
+    }
+    return frozenset(name for name, needed in flags.items() if needed)
+
+
 def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
     """Resolve every defaulted field of ``spec`` to a concrete value.
 
@@ -285,15 +298,7 @@ def resolve_defaults(spec: ExperimentSpec) -> ExperimentSpec:
         warmup_refs=warmup,
         seed=seed,
         sharing=spec._canonical_sharing(),
-        engine_mode=resolve_mode(
-            spec.engine_mode,
-            slots_per_core=spec.slots_per_core,
-            rebind=spec.rebind,
-            sched=spec.sched_policy,
-            heterogeneous=bool(spec.core_speeds or spec.l2_asym),
-            vm_schedule=bool(spec.vm_schedule),
-            scenario=bool(spec.scenario),
-        ),
+        engine_mode=resolve_mode(spec.engine_mode, engine_needs(spec)),
     )
 
 
@@ -398,24 +403,6 @@ class ExperimentResult:
     def mean_miss_latency(self, workload: str) -> float:
         instances = self.metrics_for(workload)
         return sum(vm.mean_miss_latency for vm in instances) / len(instances)
-
-
-def _make_rebinder(kind: str, chip: Chip, rng_factory: RngFactory):
-    """Build a dynamic-rebinding policy by name."""
-    from ..sim.dynamic import AffinityRebinder, RandomRebinder
-
-    kind = kind.strip().lower()
-    if kind == "random":
-        return RandomRebinder(chip.config.num_cores,
-                              rng_factory.stream("rebinder"))
-    if kind == "affinity":
-        return AffinityRebinder(
-            domain_of_core=chip.placement.domain_of,
-            cores_of_domain=[list(d) for d in chip.placement.domains],
-        )
-    raise ConfigurationError(
-        f"unknown rebinder {kind!r}; choose 'random' or 'affinity'"
-    )
 
 
 def _parse_vm_schedule(text: str, num_vms: int):
@@ -524,23 +511,12 @@ def run_experiment(
         )
     if spec.qos_policy and spec.qos_epoch <= 0:
         raise ConfigurationError("qos_epoch must be positive")
-    if spec.sched_policy:
-        if spec.sched_epoch <= 0:
-            raise ConfigurationError("sched_epoch must be positive")
-        if spec.rebind:
-            raise ConfigurationError(
-                "sched_policy and rebind both migrate threads; "
-                "pick one migration mechanism"
-            )
+    if spec.sched_policy and spec.sched_epoch <= 0:
+        raise ConfigurationError("sched_epoch must be positive")
     if spec.vm_schedule:
         if spec.slots_per_core > 1:
             raise ConfigurationError(
                 "vm_schedule (VM churn) requires single-slot runs"
-            )
-        if spec.rebind:
-            raise ConfigurationError(
-                "vm_schedule cannot be combined with the rebind phase "
-                "rebinder; use a sched_policy for dynamic placement"
             )
         if spec.start_stagger:
             raise ConfigurationError(
@@ -568,7 +544,6 @@ def run_experiment(
             (spec.phase_plan, "phase_plan"),
             (spec.vm_schedule, "vm_schedule"),
             (spec.start_stagger, "start_stagger"),
-            (spec.rebind, "rebind"),
         ):
             if conflicting:
                 raise ConfigurationError(
@@ -670,10 +645,6 @@ def run_experiment(
     hypervisor.check_isolation()
     if spec.l2_vm_quota:
         _apply_vm_quotas(chip, assignments)
-    if spec.rebind and spec.slots_per_core > 1:
-        raise ConfigurationError(
-            "dynamic rebinding and over-commit cannot be combined"
-        )
     qos_hook = None
     if spec.qos_policy:
         from ..qos.controllers import TargetSlowdown, make_controller
@@ -731,22 +702,18 @@ def run_experiment(
         # controllers sense), then QoS, then the scheduler — quota
         # decisions land before the same epoch's migrations
         control = CompositeControl(hooks)
-    rebinder = (
-        _make_rebinder(spec.rebind, chip, rng_factory) if spec.rebind else None
-    )
     engine = make_engine(
         EngineRequest(
             machine=chip,
             threads=contexts,
             control=control,
             slots_per_core=spec.slots_per_core,
-            rebinder=rebinder,
-            rebind_interval=spec.rebind_interval,
+            needs=engine_needs(spec),
         ),
         mode=spec.engine_mode,
     )
     probe = None
-    if want_series and hasattr(engine, "probe"):
+    if want_series:
         from ..obs.probes import EpochProbe
 
         # batched engines expose the inspection surface themselves

@@ -285,7 +285,8 @@ def assign_overcommitted(
     """Assign threads with ``slots_per_core`` thread contexts per core.
 
     Returns per-VM core lists in which cores may repeat (up to the slot
-    limit); pair with :class:`repro.sim.overcommit.OvercommitEngine`.
+    limit); pair with an :class:`repro.sim.engine.Engine` built with
+    the same ``slots_per_core``.
     """
     if slots_per_core <= 0:
         raise SchedulingError("slots_per_core must be positive")

@@ -57,7 +57,7 @@ RESULT_FORMAT_VERSION = 1
 STORE_SCHEMA_VERSION = 1
 """Version of the on-disk store record envelope."""
 
-SPEC_KEY_VERSION = 1
+SPEC_KEY_VERSION = 2
 """Version of the spec-key derivation; bump to invalidate all keys."""
 
 

@@ -112,8 +112,9 @@ class QosHook:
     # -- wiring ---------------------------------------------------------
 
     def bind_actuator(self, engine) -> None:
-        """Give the hook an over-commit engine's run-queue actuator
-        (``run_queues()`` / ``rebind_thread(tid, core, now)``)."""
+        """Give the hook the engine's run-queue actuator
+        (``run_queues()`` / ``rebind_thread(tid, core, now)``; the
+        engine refuses every move on a single-slot run)."""
         self._actuator = engine
 
     # -- engine hooks ---------------------------------------------------

@@ -28,9 +28,9 @@ keeps thread retirement exactly as deterministic as PR 9's
 ``vm_schedule`` runs.
 
 Because scenarios retarget per-thread traces mid-run (and may retire
-threads), any spec naming one pins the reference engine
-(``pins_reference``) — the batched kernel pre-folds reference batches
-and cannot re-shape them mid-run.
+threads), any spec naming one needs the ``scenario`` engine
+capability, which only the reference engine provides — the batched
+kernel pre-folds reference batches and cannot re-shape them mid-run.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ class ScenarioHook:
         The run's seeded ``"scenario"`` stream; consumed only when the
         curve declares jitter.
     """
-
-    #: scenarios retarget traces and script churn: the engine factory
-    #: must never resolve such a run to the batched kernel
-    pins_reference = True
-    #: lets the factory distinguish scenario pinning in its diagnostics
-    is_scenario_control = True
 
     def __init__(self, scenario: Scenario, vms, threads, rng=None,
                  telemetry=None):
@@ -111,10 +105,6 @@ class ScenarioHook:
         self._last_load = scenario.curve.load_at(0)
 
     # -- engine hooks ---------------------------------------------------
-
-    def bind_actuator(self, engine) -> None:
-        """Scenario actuation goes through the traces, not the engine;
-        accepted so the factory's reference wiring stays uniform."""
 
     def on_step(self, now: int) -> None:
         if now >= self.next_due:

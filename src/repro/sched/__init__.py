@@ -5,7 +5,8 @@ and measures the consolidation interference that results.  This
 package closes the loop: per-epoch contention sensing
 (:mod:`repro.sched.signals`), a registry of scheduling policies from
 the do-nothing static baseline to contention-aware migration,
-adaptive over-commit allocation, and heterogeneity-aware placement
+adaptive over-commit allocation, heterogeneity-aware placement, and
+the Section VII random-churn and affinity-healing studies
 (:mod:`repro.sched.policies`), and the engine-side actuation hook
 that applies migrations with an explicit cost charge
 (:mod:`repro.sched.hook`).
@@ -21,8 +22,10 @@ from .policies import (
     SCHED_POLICIES,
     SCHED_POLICY_NAMES,
     AdaptiveAllocation,
+    AffinityHealing,
     ContentionAwareMigration,
     HeteroAware,
+    RandomChurn,
     SchedDecision,
     Scheduler,
     SchedView,
@@ -37,8 +40,10 @@ __all__ = [
     "SCHED_POLICIES",
     "SCHED_POLICY_NAMES",
     "AdaptiveAllocation",
+    "AffinityHealing",
     "ContentionAwareMigration",
     "HeteroAware",
+    "RandomChurn",
     "SchedDecision",
     "Scheduler",
     "SchedView",

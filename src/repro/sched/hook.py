@@ -7,15 +7,16 @@ with the engines' epoch-gated control cadence (the same ``next_due`` /
 :class:`~repro.sched.signals.SchedSensor`, asks the policy for a
 :class:`~repro.sched.policies.SchedDecision`, and actuates it:
 
-* on the single-slot reference engine, through
+* on a single-slot run, through
   :meth:`~repro.sim.engine.Engine.apply_migrations` — an atomic
   permutation rebind that charges each moved thread the
   ``migration_penalty``;
-* on the over-commit engine, through
-  :meth:`~repro.sim.overcommit.OvercommitEngine.rebind_thread` — the
-  same run-queue actuator the QoS layer uses, which charges the
-  engine's context-switch penalty when a migrated thread wakes an
-  idle core.
+* on an over-committed run, through
+  :meth:`~repro.sim.engine.Engine.rebind_thread` — the same run-queue
+  actuator the QoS layer uses, which charges the engine's
+  context-switch penalty when a migrated thread wakes an idle core.
+
+The engine's shape (``overcommitted``) picks the actuator.
 
 Either way the hypervisor's binding bookkeeping
 (:meth:`~repro.vm.hypervisor.Hypervisor.rebind_thread`) keeps VM/core
@@ -25,9 +26,10 @@ attribution consistent.  Counters (``sched.control_epochs``,
 telemetry hub, so migrations show up in distributed traces; with the
 default null hub they cost nothing.
 
-Because a scheduler can rebind threads, any spec naming one pins the
-reference engine (``pins_reference``) — the batched kernel folds per
-thread and cannot re-home threads mid-run.  :class:`CompositeControl`
+Because a scheduler can rebind threads, any spec naming one needs the
+``migration`` engine capability, which only the reference engine
+provides — the batched kernel folds per thread and cannot re-home
+threads mid-run.  :class:`CompositeControl`
 lets a :class:`SchedHook` and a :class:`~repro.qos.hook.QosHook` share
 an engine's single control slot, each keeping its own epoch.
 """
@@ -69,10 +71,6 @@ class SchedHook:
     slots_per_core, rng:
         Forwarded into the policy's view.
     """
-
-    #: a scheduler may rebind threads: the engine factory must never
-    #: resolve such a run to the batched kernel
-    pins_reference = True
 
     def __init__(self, chip, threads, policy: Scheduler, epoch: int,
                  telemetry=None, hypervisor=None,
@@ -122,12 +120,8 @@ class SchedHook:
     # -- wiring ---------------------------------------------------------
 
     def bind_actuator(self, engine) -> None:
-        """Give the hook the engine's migration actuator.
-
-        Either surface works: ``apply_migrations`` (single-slot
-        reference engine) or ``rebind_thread`` (over-commit run
-        queues); both expose ``run_queues()`` for sensing.
-        """
+        """Give the hook the engine's migration actuators and its
+        ``run_queues()`` for sensing."""
         self._actuator = engine
 
     # -- engine hooks ---------------------------------------------------
@@ -177,9 +171,9 @@ class SchedHook:
 
     def _actuate(self, moves: Dict[int, int], now: int) -> int:
         actuator = self._actuator
-        if hasattr(actuator, "apply_migrations"):
-            return self._actuate_single_slot(actuator, moves, now)
-        return self._actuate_overcommit(actuator, moves, now)
+        if actuator.overcommitted:
+            return self._actuate_overcommit(actuator, moves, now)
+        return self._actuate_single_slot(actuator, moves, now)
 
     def _actuate_single_slot(self, engine, moves: Dict[int, int],
                              now: int) -> int:
@@ -269,11 +263,6 @@ class CompositeControl:
         if not self.children:
             raise ConfigurationError(
                 "CompositeControl needs at least one child hook")
-        #: the composite pins the reference engine iff any child does
-        self.pins_reference = any(
-            getattr(child, "pins_reference", False)
-            for child in self.children
-        )
 
     @property
     def next_due(self) -> int:

@@ -1,4 +1,5 @@
-"""Scheduling policies: static baseline and three adaptive schedulers.
+"""Scheduling policies: static baseline, adaptive and dynamic-binding
+schedulers.
 
 The paper evaluates four *static* thread-to-core assignment policies
 (Section V); this module adds the dynamic layer its Section VII
@@ -9,7 +10,7 @@ thread migrations.  Policies only *propose*; the
 :class:`~repro.sched.hook.SchedHook` validates and actuates through
 the engine, charging the migration cost.
 
-Four policies ship in the registry:
+Six policies ship in the registry:
 
 ``static``
     The do-nothing baseline: initial placement comes from the paper's
@@ -28,9 +29,18 @@ Four policies ship in the registry:
     :class:`HeteroAware` — on machines with per-core speed classes,
     keep the most miss-latency-bound threads (the stragglers that
     gate their VM's completion) on the fastest cores.
+``churn``
+    :class:`RandomChurn` — re-deal every thread to a random core each
+    epoch: the "seemingly random" placement the paper's *random*
+    static policy approximates (Section VII), generated by migration.
+``heal``
+    :class:`AffinityHealing` — pull each VM's threads back into the L2
+    domain where most of them run: a minimal dynamic policy that
+    recovers static affinity's benefit.
 
 All policies are deterministic: rankings break ties on thread/core
-ids, so a fixed spec and seed reproduce the same migration history.
+ids, and ``churn`` draws only from the run's seeded ``"sched"`` RNG
+stream, so a fixed spec and seed reproduce the same migration history.
 """
 
 from __future__ import annotations
@@ -48,6 +58,8 @@ __all__ = [
     "ContentionAwareMigration",
     "AdaptiveAllocation",
     "HeteroAware",
+    "RandomChurn",
+    "AffinityHealing",
     "SCHED_POLICIES",
     "SCHED_POLICY_NAMES",
     "make_sched_policy",
@@ -83,8 +95,8 @@ class SchedView:
         #: per-core think multipliers (1/speed), or ``None`` when the
         #: machine is homogeneous
         self.inverse_speeds = inverse_speeds
-        #: seeded stream for stochastic policies; the shipped policies
-        #: are deterministic and leave it untouched
+        #: the run's seeded ``"sched"`` stream, drawn from only by
+        #: stochastic policies (``churn``)
         self.rng = rng
 
     def core_speed(self, core: int) -> float:
@@ -362,11 +374,84 @@ class HeteroAware(Scheduler):
         return SchedDecision(moves)
 
 
+class RandomChurn(Scheduler):
+    """Re-deal every running thread to a random core each epoch.
+
+    One permutation of the machine's thread slots per epoch, drawn
+    from the view's seeded stream; threads take slots in thread-id
+    order.  On an over-committed run the engine moves only waiting
+    threads, so the running heads stay put.
+    """
+
+    name = "churn"
+
+    def attach(self, view: SchedView) -> None:
+        if view.rng is None:
+            raise ConfigurationError(
+                "the churn policy draws from the run's seeded 'sched' "
+                "RNG stream; attach a view with rng set")
+        super().attach(view)
+
+    def decide(self, window: SchedWindow) -> SchedDecision:
+        view = self.view
+        if view is None:
+            return SchedDecision()
+        slots = view.rng.permutation(view.num_cores * view.slots_per_core)
+        return SchedDecision({
+            tid: int(slots[i]) % view.num_cores
+            for i, tid in enumerate(sorted(window.threads))
+        })
+
+
+class AffinityHealing(Scheduler):
+    """Pull each VM's threads toward the domain where most of them run.
+
+    Each epoch every VM, most threads first, is given the domain where
+    it has the most threads (ties to the lower domain id), then the
+    next-best domains, and its threads are packed onto those domains'
+    free cores (a thread may be shuffled within its own domain).
+    """
+
+    name = "heal"
+
+    def decide(self, window: SchedWindow) -> SchedDecision:
+        mapping = window.domain_of_core
+        if mapping is None:
+            return SchedDecision()
+        free: Dict[int, List[int]] = {}
+        for core, domain in enumerate(mapping):
+            free.setdefault(domain, []).append(core)
+        by_vm: Dict[int, List[ThreadDelta]] = {}
+        for tid in sorted(window.threads):
+            delta = window.threads[tid]
+            by_vm.setdefault(delta.vm_id, []).append(delta)
+        moves: Dict[int, int] = {}
+        for vm in sorted(by_vm, key=lambda vm: -len(by_vm[vm])):
+            counts: Dict[int, int] = {}
+            for delta in by_vm[vm]:
+                domain = mapping[delta.core_id]
+                counts[domain] = counts.get(domain, 0) + 1
+            preferred = sorted(counts, key=lambda d: (-counts[d], d))
+            preferred += [d for d in sorted(free) if d not in counts]
+            remaining = list(by_vm[vm])
+            for domain in preferred:
+                while remaining and free[domain]:
+                    delta = remaining.pop(0)
+                    core = free[domain].pop(0)
+                    if core != delta.core_id:
+                        moves[delta.thread_id] = core
+                if not remaining:
+                    break
+        return SchedDecision(moves)
+
+
 SCHED_POLICIES: Dict[str, Callable[[], Scheduler]] = {
     StaticPlacement.name: StaticPlacement,
     ContentionAwareMigration.name: ContentionAwareMigration,
     AdaptiveAllocation.name: AdaptiveAllocation,
     HeteroAware.name: HeteroAware,
+    RandomChurn.name: RandomChurn,
+    AffinityHealing.name: AffinityHealing,
 }
 """Scheduler registry addressable from specs and the CLI."""
 
@@ -377,6 +462,8 @@ _ALIASES = {
     "adaptive-allocation": "adaptive",
     "hetero-aware": "hetero",
     "heterogeneous": "hetero",
+    "random-churn": "churn",
+    "affinity-healing": "heal",
 }
 
 SCHED_POLICY_NAMES: Tuple[str, ...] = tuple(sorted(SCHED_POLICIES))

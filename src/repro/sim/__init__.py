@@ -2,9 +2,9 @@
 
 from ._batchfold import HAVE_NUMPY, PrivateState, fold_private
 from .batched import BatchedEngine
-from .dynamic import AffinityRebinder, MigratingEngine, RandomRebinder
 from .engine import Engine, EngineResult, MachineModel, ThreadContext, ThreadStats
 from .factory import (
+    CAPABILITIES,
     EngineRequest,
     engine_modes,
     make_engine,
@@ -29,14 +29,12 @@ __all__ = [
     "PrivateState",
     "fold_private",
     "BatchedEngine",
+    "CAPABILITIES",
     "EngineRequest",
     "engine_modes",
     "make_engine",
     "register_engine",
     "resolve_mode",
-    "AffinityRebinder",
-    "MigratingEngine",
-    "RandomRebinder",
     "Engine",
     "EngineResult",
     "MachineModel",

@@ -1,12 +1,26 @@
 """Global-time event loop driving the trace simulation.
 
-The engine owns a priority queue of (ready-time, core) pairs.  Each step
-pops the core with the smallest local time, pulls the next memory
-reference from the thread bound to that core, sends it through the
-machine model, and re-inserts the core at its completion time.  Because
-cores are processed in non-decreasing global time, the FIFO resource
-servers in :mod:`repro.sim.server` observe monotone arrivals and model
-contention exactly.
+The engine owns one run queue per core and a priority queue of ready
+times.  Each step pops the earliest entry, pulls the next memory
+reference from the thread at the head of that run queue, sends it
+through the machine model, and re-inserts the queue at the reference's
+completion time.  Because references are processed in non-decreasing
+global time, the FIFO resource servers in :mod:`repro.sim.server`
+observe monotone arrivals and model contention exactly.
+
+One loop serves every run shape:
+
+* **single-slot** (``slots_per_core=1``, the paper's methodology):
+  every queue holds exactly one thread, so no quantum rotation or
+  switch penalty ever applies.  Threads move between cores only
+  through :meth:`Engine.apply_migrations`, an atomic permutation.
+* **over-committed** (``slots_per_core>1``, Section VII future work):
+  a core time-multiplexes its queue with a reference quantum and a
+  context-switch penalty; control hooks move *waiting* threads
+  between queues through :meth:`Engine.rebind_thread`.
+
+Core speed classes, VM churn (``stop_time``), the epoch probe and the
+control slot work on both shapes.
 
 Measurement methodology mirrors Section IV of the paper:
 
@@ -23,8 +37,9 @@ Measurement methodology mirrors Section IV of the paper:
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Protocol, Tuple
 
 from ..errors import SimulationError
 from .records import AccessResult, HitLevel, LatencyBreakdown, MemoryReference
@@ -121,7 +136,7 @@ class ThreadStats:
 
 
 class ThreadContext:
-    """One workload thread bound to one physical core.
+    """One workload thread bound to a physical core.
 
     Parameters
     ----------
@@ -131,7 +146,7 @@ class ThreadContext:
         Virtual machine the thread belongs to.
     core_id:
         Physical core the hypervisor bound this thread to (static
-        binding, per the paper's methodology).
+        binding, per the paper's methodology; migrations rewrite it).
     references:
         Iterator of :class:`MemoryReference`.  Must be effectively
         infinite (workload generators restart transparently); the engine
@@ -201,7 +216,7 @@ class EngineResult:
     vm_completion_times: Dict[int, int]
     thread_stats: Dict[int, ThreadStats]
     total_refs_processed: int
-    #: populated by the over-commit engine; always 0 for the base engine
+    #: run-queue rotations and hand-overs; always 0 on single-slot runs
     context_switches: int = 0
 
     def vm_threads(self, vm_id: int) -> List[ThreadStats]:
@@ -217,15 +232,17 @@ class EngineResult:
 
 
 class Engine:
-    """Drives threads through a machine model until every VM completes.
+    """Drives per-core run queues through a machine model until every
+    VM completes.
 
     Parameters
     ----------
     machine:
-        Timing model implementing :class:`MachineModel`.
+        Timing model implementing :class:`MachineModel`.  If it exposes
+        ``bind_core_to_vm``, the core->VM attribution follows the
+        thread at the head of each queue.
     threads:
-        All thread contexts; at most one per physical core (the paper
-        never over-commits the machine).
+        All thread contexts; at most ``slots_per_core`` per core.
     max_steps:
         Safety valve against runaway simulations; exceeded only on a
         simulator bug, in which case :class:`SimulationError` is raised.
@@ -235,10 +252,21 @@ class Engine:
         read-only: a run with a probe is bit-identical to one without
         (the probe costs one ``is not None`` test per step when absent).
     control:
-        Optional :class:`~repro.qos.hook.QosHook` driven with the same
-        per-step cadence as ``probe``.  Unlike probes, a control hook
-        *may* change machine state (it rewrites live way quotas at
-        control-epoch boundaries) — that is its purpose.
+        Optional epoch hook (:class:`~repro.qos.hook.QosHook`,
+        :class:`~repro.sched.hook.SchedHook`, ...) driven through its
+        ``next_due`` / ``on_step`` / ``finish`` protocol.  Unlike
+        probes, a control hook *may* change machine state and move
+        threads — that is its purpose.
+    slots_per_core:
+        Thread contexts a core's run queue may hold.  1 reproduces the
+        paper, which never over-commits the machine.
+    quantum_refs:
+        References a thread issues before its core switches to the
+        next queued thread (only when others are waiting).
+    switch_penalty:
+        Cycles charged on every context switch (pipeline refill, state
+        swap); misses caused by the evicted thread's cooled-down cache
+        footprint emerge from the cache model itself.
     """
 
     def __init__(
@@ -248,56 +276,87 @@ class Engine:
         max_steps: Optional[int] = None,
         probe=None,
         control=None,
+        slots_per_core: int = 1,
+        quantum_refs: int = 64,
+        switch_penalty: int = 200,
     ):
-        cores_seen = set()
-        for thread in threads:
-            if thread.core_id in cores_seen:
-                raise SimulationError(
-                    f"core {thread.core_id} bound to more than one thread; "
-                    "the consolidation methodology never over-commits cores"
-                )
-            cores_seen.add(thread.core_id)
         if not threads:
             raise SimulationError("engine needs at least one thread")
+        if slots_per_core <= 0:
+            raise SimulationError("slots_per_core must be positive")
+        if quantum_refs <= 0:
+            raise SimulationError("quantum_refs must be positive")
+        if switch_penalty < 0:
+            raise SimulationError("switch_penalty must be non-negative")
+        by_core: Dict[int, Deque[int]] = {}
+        for thread in threads:
+            queue = by_core.setdefault(thread.core_id, deque())
+            queue.append(thread.thread_id)
+            if len(queue) > slots_per_core:
+                raise SimulationError(
+                    f"core {thread.core_id} bound to {len(queue)} threads "
+                    f"with {slots_per_core} slot(s) per core; the "
+                    "consolidation methodology over-commits cores only "
+                    "when slots_per_core > 1"
+                )
         self.machine = machine
         self.threads = {t.thread_id: t for t in threads}
         self.probe = probe
         self.control = control
+        self.overcommitted = slots_per_core > 1
+        self.quantum_refs = quantum_refs
+        self.switch_penalty = switch_penalty
         demand = sum(t.warmup_refs + t.measured_refs for t in threads)
-        # Completed VMs keep running while others finish; 32x the
+        # Completed VMs keep running while others finish; 64x the
         # measured demand is far beyond any legitimate imbalance.
-        self.max_steps = max_steps if max_steps is not None else 32 * demand
+        self.max_steps = max_steps if max_steps is not None else 64 * demand
+        # The heap key of a queue breaks ties between equal issue
+        # times, and outputs depend on it: a single-slot queue is keyed
+        # by its thread (the queue moves with the thread on a
+        # permutation migration), an over-committed queue by its core.
+        if self.overcommitted:
+            self._queues: Dict[int, Deque[int]] = by_core
+        else:
+            self._queues = {tid: deque((tid,)) for tid in sorted(self.threads)}
         # heterogeneous cores: per-core think-cycle multipliers, or
         # None on a homogeneous machine (exact legacy arithmetic)
         self._inv_speeds = getattr(machine, "inverse_core_speeds", None)
-        # one-shot issue delays charged by scheduler migrations
+        # one-shot issue delays charged by permutation migrations
         self._delays: Dict[int, int] = {}
         self._has_stops = any(t.stop_time is not None for t in threads)
         # threads that departed via stop_time (VM churn)
         self._retired: set = set()
+        # run state shared with rebind_thread (filled in by run)
+        self._pending: Dict[int, tuple] = {}
+        self._heap: List[Tuple[int, int]] = []
+        self._quantum_left: Dict[int, int] = {}
+        self._bind = None
+        self.qos_rebinds = 0
+
+    def _think(self, core: int, think: int) -> int:
+        """Think cycles as spent on ``core`` (scaled when heterogeneous)."""
+        inv = self._inv_speeds
+        return think if inv is None else int(think * inv[core])
 
     # ------------------------------------------------------------------
-    # scheduler actuation (see repro.sched.hook.SchedHook)
+    # actuators for epoch control hooks (repro.sched / repro.qos)
     # ------------------------------------------------------------------
 
     def run_queues(self) -> Dict[int, List[int]]:
-        """Per-core thread binding as singleton run queues.
+        """Snapshot of each busy core's run queue (head = running).
 
-        Mirrors :meth:`repro.sim.overcommit.OvercommitEngine.run_queues`
-        so epoch hooks can treat both engines uniformly; on this engine
-        every queue holds exactly the one running thread.  Cores freed
-        by departed (churned) threads are omitted — they are idle.
+        On a single-slot run every queue holds its one thread.  Queues
+        drained by departed (churned) threads are omitted: those cores
+        are idle.
         """
-        return {
-            t.core_id: [tid]
-            for tid, t in sorted(self.threads.items())
-            if tid not in self._retired
-        }
+        threads = self.threads
+        return {threads[queue[0]].core_id: list(queue)
+                for queue in self._queues.values() if queue}
 
     def apply_migrations(
         self, moves: Dict[int, int], now: int, penalty: int = 0
     ) -> int:
-        """Atomically rebind threads to new cores at a control epoch.
+        """Atomically rebind threads to new cores (single-slot runs).
 
         ``moves`` maps thread id to destination core.  The post-move
         binding must still place at most one thread per core (swaps
@@ -308,6 +367,12 @@ class Engine:
         context-transfer cost of the migration.  Returns the number of
         threads actually moved (no-op moves are skipped).
         """
+        if self.overcommitted:
+            raise SimulationError(
+                "apply_migrations permutes single-slot bindings; an "
+                "over-committed run moves waiting threads with "
+                "rebind_thread"
+            )
         real = {
             tid: core
             for tid, core in moves.items()
@@ -325,8 +390,8 @@ class Engine:
         new_core.update(real)
         if len(set(new_core.values())) != len(new_core):
             raise SimulationError(
-                "scheduler migration would bind two threads to one core; "
-                f"proposed moves: {sorted(real.items())}"
+                "conflicting migration would bind two threads to one "
+                f"core; proposed moves: {sorted(real.items())}"
             )
         for tid, core in real.items():
             self.threads[tid].core_id = core
@@ -334,18 +399,54 @@ class Engine:
                 self._delays[tid] = self._delays.get(tid, 0) + penalty
         return len(real)
 
+    def rebind_thread(self, tid: int, core: int, now: int):
+        """Move a *waiting* thread to another core's run queue.
+
+        Returns ``None`` when the move is refused (unknown thread, a
+        no-op move, or the thread is at the head of its queue — i.e.
+        running; every thread of a single-slot run is), ``True`` when
+        the thread became the head of a previously idle core (which
+        gets a fresh heap entry, a switch penalty and the VM binding),
+        and ``False`` when it joined the tail of a busy queue and will
+        run at a future rotation.
+        """
+        thread = self.threads.get(tid)
+        if thread is None or core == thread.core_id or not self.overcommitted:
+            return None
+        source = self._queues.get(thread.core_id)
+        if not source or source[0] == tid or tid not in source:
+            return None
+        source.remove(tid)
+        target = self._queues.setdefault(core, deque())
+        became_head = not target
+        target.append(tid)
+        thread.core_id = core
+        self.qos_rebinds += 1
+        if became_head:
+            self._quantum_left[core] = self.quantum_refs
+            heapq.heappush(
+                self._heap,
+                (now + self.switch_penalty
+                 + self._think(core, self._pending[tid][2]), core),
+            )
+            if self._bind is not None:
+                self._bind(core, thread.vm_id)
+        return became_head
+
+    # ------------------------------------------------------------------
+
     def run(self) -> EngineResult:
         """Execute until every VM has completed its measured references.
 
-        The heap is keyed on each thread's next *issue* time (its ready
+        The heap is keyed on each queue's next *issue* time (its ready
         time plus the pending reference's think time), so references
         hit shared resources in globally non-decreasing time order —
         the property the FIFO contention servers rely on.
         """
         threads = self.threads
+        queues = self._queues
         inv = self._inv_speeds
-        pending: Dict[int, tuple] = {}
-        heap: List[Tuple[int, int]] = []
+        pending = self._pending
         for tid in sorted(threads):
             ref = next(threads[tid].references, None)
             if ref is None:
@@ -354,11 +455,24 @@ class Engine:
                     "generators must be infinite (restart on completion)"
                 )
             pending[tid] = ref
-            think = (
-                ref[2] if inv is None
-                else int(ref[2] * inv[threads[tid].core_id])
-            )
-            heap.append((threads[tid].start_time + think, tid))
+
+        heap = self._heap
+        quantum_left = self._quantum_left
+        quantum = self.quantum_refs
+        penalty = self.switch_penalty
+        # keep the machine's core->VM attribution in step with the
+        # running thread so occupancy snapshots stay meaningful
+        bind = self._bind = getattr(self.machine, "bind_core_to_vm", None)
+        for key, queue in queues.items():
+            head = threads[queue[0]]
+            core = head.core_id
+            if bind is not None:
+                bind(core, head.vm_id)
+            think = pending[head.thread_id][2]
+            heap.append((head.start_time
+                         + (think if inv is None else int(think * inv[core])),
+                         key))
+            quantum_left[key] = quantum
         heapq.heapify(heap)
 
         vm_pending: Dict[int, int] = {}
@@ -374,9 +488,11 @@ class Engine:
         # per step instead of a Python call into an early-returning
         # on_step
         control_due = control.next_due if control is not None else None
+        rotating = self.overcommitted
         delays = self._delays
         has_stops = self._has_stops
         steps = 0
+        context_switches = 0
         while pending_vms > 0:
             steps += 1
             if steps > self.max_steps:
@@ -384,27 +500,33 @@ class Engine:
                     f"engine exceeded {self.max_steps} steps without all "
                     f"VMs completing; {pending_vms} VM(s) still pending"
                 )
-            issue_time, tid = heapq.heappop(heap)
+            issue_time, key = heapq.heappop(heap)
             if probe is not None:
                 probe.on_step(issue_time)
             if control_due is not None and issue_time >= control_due:
+                # the hook may migrate threads; on an over-committed
+                # run it never moves a queue's running head
                 control.on_step(issue_time)
                 control_due = control.next_due
+            queue = queues[key]
+            tid = queue[0]
             if delays:
-                # a scheduler migration charged this thread a one-shot
-                # cost: push its issue out and retry (same re-insertion
-                # pattern as the MigratingEngine)
+                # a permutation migration charged this thread a
+                # one-shot cost: push its issue out and retry
                 extra = delays.pop(tid, 0)
                 if extra:
-                    heapq.heappush(heap, (issue_time + extra, tid))
+                    heapq.heappush(heap, (issue_time + extra, key))
                     continue
             thread = threads[tid]
+            core = thread.core_id
             if has_stops and thread.stop_time is not None \
                     and issue_time >= thread.stop_time:
                 # VM churn: the thread departs at its first issue past
                 # stop_time.  A truncated measured window completes at
-                # departure; the freed core stays idle for the rest of
-                # the run (dynamic schedulers may migrate onto it).
+                # departure.  The next queued thread takes the core
+                # (one switch penalty); a drained queue idles the core
+                # until a scheduler migrates a thread onto it.
+                queue.popleft()
                 self._retired.add(tid)
                 if thread.completion_time is None:
                     thread.completion_time = issue_time
@@ -415,11 +537,20 @@ class Engine:
                         pending_vms -= 1
                         if probe is not None:
                             probe.on_vm_complete(vm, issue_time)
+                if queue:
+                    next_thread = threads[queue[0]]
+                    quantum_left[key] = quantum
+                    context_switches += 1
+                    if bind is not None and next_thread.vm_id != thread.vm_id:
+                        bind(core, next_thread.vm_id)
+                    think = pending[next_thread.thread_id][2]
+                    heapq.heappush(heap, (
+                        issue_time + penalty
+                        + (think if inv is None else int(think * inv[core])),
+                        key))
                 continue
             block, access, think = pending[tid]
-            result = self.machine.access(
-                thread.core_id, block, bool(access), issue_time
-            )
+            result = self.machine.access(core, block, bool(access), issue_time)
             finish = issue_time + result.latency + 1  # +1: the access itself
 
             index = thread.issued
@@ -430,7 +561,7 @@ class Engine:
                 if inv is not None:
                     # charge the think cycles the thread actually spent
                     # on its (possibly slow) core
-                    think = int(think * inv[thread.core_id])
+                    think = int(think * inv[core])
                 thread.stats.record(access, think, result)
                 if thread.issued == window_end:
                     thread.completion_time = finish
@@ -448,11 +579,23 @@ class Engine:
                     "generators must be infinite (restart on completion)"
                 )
             pending[tid] = next_ref
-            next_think = (
-                next_ref[2] if inv is None
-                else int(next_ref[2] * inv[thread.core_id])
-            )
-            heapq.heappush(heap, (finish + next_think, tid))
+            if rotating:
+                left = quantum_left[key] - 1
+                if left <= 0:
+                    left = quantum
+                    if len(queue) > 1:
+                        queue.rotate(-1)
+                        finish += penalty
+                        context_switches += 1
+                        next_ref = pending[queue[0]]
+                        next_vm = threads[queue[0]].vm_id
+                        if bind is not None and next_vm != thread.vm_id:
+                            bind(core, next_vm)
+                quantum_left[key] = left
+            next_think = next_ref[2]
+            if inv is not None:
+                next_think = int(next_think * inv[core])
+            heapq.heappush(heap, (finish + next_think, key))
 
         # The run "finishes" when the last VM completes: the maximum
         # completion time.  (The last *popped* issue_time undercounts
@@ -468,6 +611,7 @@ class Engine:
             vm_completion_times=vm_completion,
             thread_stats={tid: t.stats for tid, t in threads.items()},
             total_refs_processed=steps,
+            context_switches=context_switches,
         )
         result._vm_of = {tid: t.vm_id for tid, t in threads.items()}
         return result

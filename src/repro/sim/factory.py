@@ -1,20 +1,24 @@
 """Unified engine construction: one registry, one entry point.
 
-Historically :func:`repro.core.experiment.run_experiment` picked an
-engine with ad-hoc ``if`` chains (over-commit → ``OvercommitEngine``,
-rebind → ``MigratingEngine``, else ``Engine``).  The factory replaces
-that with a small registry keyed by *engine mode*:
+Every run declares what it *needs* from an engine as a set of
+capability names (:data:`CAPABILITIES`), computed once from the
+resolved spec by :func:`repro.core.experiment.engine_needs` and carried
+on the :class:`EngineRequest`.  Every engine mode declares what it
+*supports*:
 
 ``"reference"``
-    The event-driven engines — byte-identical to the historical
-    behaviour, including the over-commit and migrating variants.
+    The event-driven :class:`~repro.sim.engine.Engine` — every
+    capability, on every run shape.
 ``"batched"``
-    The epoch-folded :class:`~repro.sim.batched.BatchedEngine`
-    (single-slot, statically-bound runs only).
+    The epoch-folded :class:`~repro.sim.batched.BatchedEngine` — none
+    of them: single-slot, statically bound, homogeneous runs only.
 ``"auto"``
-    Resolves to ``"batched"`` when the run shape allows it (one slot
-    per core, no dynamic rebinding) *and* numpy is available, else
-    ``"reference"``.
+    The first registered mode that covers the needs (``"batched"``,
+    then ``"reference"``); the batched kernel is only picked when numpy
+    is available.
+
+Explicitly requesting a mode that lacks a needed capability raises a
+:class:`~repro.errors.ConfigurationError` naming what is missing.
 
 Stability note: :func:`make_engine`, :class:`EngineRequest`, and the
 mode names above are public API — downstream code may rely on them;
@@ -27,22 +31,30 @@ settable ``probe`` attribute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ._batchfold import HAVE_NUMPY
 from .batched import DEFAULT_EPOCH_REFS, BatchedEngine
-from .dynamic import MigratingEngine
 from .engine import Engine
-from .overcommit import OvercommitEngine
 
 __all__ = [
+    "CAPABILITIES",
     "EngineRequest",
     "make_engine",
     "register_engine",
     "resolve_mode",
     "engine_modes",
 ]
+
+CAPABILITIES: Dict[str, str] = {
+    "overcommit": "more threads than cores (slots_per_core > 1)",
+    "migration": "threads changing cores mid-run (sched_policy)",
+    "scenario": "time-varying scenario control",
+    "heterogeneous": "core speed classes or asymmetric L2 domains",
+    "churn": "VM arrivals and departures (vm_schedule)",
+}
+"""Capability name -> what a run needing it does."""
 
 
 @dataclass
@@ -56,15 +68,15 @@ class EngineRequest:
     threads:
         Thread contexts to run.
     control:
-        Optional QoS hook; builders wire it into the engine and, for
-        over-commit, bind the run-queue actuator back onto the hook.
+        Optional epoch hook; the reference builder wires it into the
+        engine and binds the engine's actuators back onto it.
     probe:
-        Optional epoch probe (reference single-slot and batched only).
+        Optional epoch probe.
     slots_per_core:
-        >1 selects the over-commit engine on the reference path.
-    rebinder, rebind_interval:
-        Non-``None`` rebinder selects the migrating engine on the
-        reference path.
+        Run-queue capacity of each core (>1 over-commits).
+    needs:
+        Capability names (keys of :data:`CAPABILITIES`) the run
+        requires of its engine.
     epoch_refs:
         Folding epoch of the batched engine.
     """
@@ -74,104 +86,25 @@ class EngineRequest:
     control: Optional[object] = None
     probe: Optional[object] = None
     slots_per_core: int = 1
-    rebinder: Optional[object] = None
-    rebind_interval: int = 100_000
+    needs: FrozenSet[str] = frozenset()
     epoch_refs: int = DEFAULT_EPOCH_REFS
 
 
-def _control_rebinds(request: EngineRequest) -> bool:
-    """True when the control hook may rebind threads mid-run.
-
-    Scheduler hooks (and composites containing one) declare this with
-    ``pins_reference``; such runs must stay on the reference engines
-    regardless of shape.
-    """
-    return bool(getattr(request.control, "pins_reference", False))
-
-
-def _control_is_scenario(request: EngineRequest) -> bool:
-    """True when the control hook (or a composite child) is a scenario
-    hook — such runs retarget traces mid-run and must stay on the
-    reference engines."""
-    control = request.control
-    return bool(getattr(control, "is_scenario_control", False) or any(
-        getattr(child, "is_scenario_control", False)
-        for child in getattr(control, "children", ())))
-
-
-def _machine_heterogeneous(request: EngineRequest) -> bool:
-    config = getattr(request.machine, "config", None)
-    return bool(config is not None
-                and getattr(config, "heterogeneous", False))
-
-
-def _has_stop_times(request: EngineRequest) -> bool:
-    return any(getattr(t, "stop_time", None) is not None
-               for t in request.threads)
-
-
 def _build_reference(request: EngineRequest):
-    if request.slots_per_core > 1:
-        engine = OvercommitEngine(
-            request.machine, request.threads, control=request.control
-        )
-        if request.control is not None:
-            request.control.bind_actuator(engine)
-        return engine
-    if request.rebinder is not None:
-        return MigratingEngine(
-            request.machine,
-            request.threads,
-            rebinder=request.rebinder,
-            interval=request.rebind_interval,
-            control=request.control,
-        )
     engine = Engine(
         request.machine,
         request.threads,
         probe=request.probe,
         control=request.control,
+        slots_per_core=request.slots_per_core,
     )
-    if _control_rebinds(request):
-        # a rebinding hook needs the engine's migration actuator (and
-        # run-queue snapshots for sensing)
-        request.control.bind_actuator(engine)
+    bind = getattr(request.control, "bind_actuator", None)
+    if bind is not None:
+        bind(engine)
     return engine
 
 
 def _build_batched(request: EngineRequest):
-    if request.slots_per_core > 1:
-        raise ConfigurationError(
-            "the batched engine cannot over-commit cores; "
-            "use engine_mode='reference' with slots_per_core>1"
-        )
-    if request.rebinder is not None:
-        raise ConfigurationError(
-            "the batched engine does not support dynamic rebinding; "
-            "use engine_mode='reference' with rebind set"
-        )
-    if _control_is_scenario(request):
-        raise ConfigurationError(
-            "the batched engine does not support scenario control "
-            "(mid-run retargeting and load scaling); use "
-            "engine_mode='reference'"
-        )
-    if _control_rebinds(request):
-        raise ConfigurationError(
-            "the batched engine does not support rebinding control "
-            "hooks (schedulers); use engine_mode='reference'"
-        )
-    if _machine_heterogeneous(request):
-        raise ConfigurationError(
-            "the batched engine does not model heterogeneous chips "
-            "(core speed classes / asymmetric L2); use "
-            "engine_mode='reference'"
-        )
-    if _has_stop_times(request):
-        raise ConfigurationError(
-            "the batched engine does not support VM churn "
-            "(stop times); use engine_mode='reference'"
-        )
     return BatchedEngine(
         request.machine,
         request.threads,
@@ -181,18 +114,29 @@ def _build_batched(request: EngineRequest):
     )
 
 
-_REGISTRY: Dict[str, Callable[[EngineRequest], object]] = {
-    "reference": _build_reference,
-    "batched": _build_batched,
+@dataclass(frozen=True)
+class _Mode:
+    builder: Callable[[EngineRequest], object]
+    supports: FrozenSet[str]
+
+
+_REGISTRY: Dict[str, _Mode] = {
+    "batched": _Mode(_build_batched, frozenset()),
+    "reference": _Mode(_build_reference, frozenset(CAPABILITIES)),
 }
 
 
-def register_engine(mode: str,
-                    builder: Callable[[EngineRequest], object]) -> None:
+def register_engine(mode: str, builder: Callable[[EngineRequest], object],
+                    supports: FrozenSet[str] = frozenset()) -> None:
     """Register (or override) an engine mode. Experimental API."""
     if not mode or mode == "auto":
         raise ConfigurationError(f"invalid engine mode name {mode!r}")
-    _REGISTRY[mode] = builder
+    unknown = set(supports) - set(CAPABILITIES)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown capabilities {sorted(unknown)}; "
+            f"choose from {', '.join(CAPABILITIES)}")
+    _REGISTRY[mode] = _Mode(builder, frozenset(supports))
 
 
 def engine_modes() -> list:
@@ -200,31 +144,23 @@ def engine_modes() -> list:
     return ["auto"] + sorted(_REGISTRY)
 
 
-def resolve_mode(mode: str, *, slots_per_core: int = 1,
-                 rebind: str = "", sched: str = "",
-                 heterogeneous: bool = False,
-                 vm_schedule: bool = False,
-                 scenario: bool = False) -> str:
-    """Resolve ``"auto"`` to a concrete registry mode for a run shape.
+def resolve_mode(mode: str, needs: FrozenSet[str] = frozenset()) -> str:
+    """Resolve ``"auto"`` to a concrete registry mode for ``needs``.
 
-    ``"auto"`` picks ``"batched"`` only when the shape supports it —
-    one slot per core, no dynamic rebinding of *any* kind (the
-    ``rebind`` phase rebinder or a ``sched`` scheduling policy, both
-    of which may call ``rebind_thread`` mid-run), a homogeneous chip,
-    no VM churn schedule, and no time-varying ``scenario`` (which
-    retargets traces mid-run) — and numpy is importable; the pure-
-    Python folding fallback exists for constrained environments, but
-    ``auto`` should never silently choose the slow path.  Explicitly
-    requesting ``"batched"`` without numpy is honoured (the fallback
-    runs); requesting it for an unsupported shape raises at build time.
+    ``"auto"`` picks the first registered mode whose supported
+    capabilities cover ``needs`` — never the batched kernel without
+    numpy: its pure-Python fallback exists for constrained
+    environments, but ``auto`` should never silently choose the slow
+    path.  Concrete modes pass through (an unsupported need raises at
+    build time, in :func:`make_engine`).
     """
     mode = (mode or "auto").strip().lower()
     if mode == "auto":
-        if (slots_per_core == 1 and not rebind and not sched
-                and not heterogeneous and not vm_schedule
-                and not scenario and HAVE_NUMPY):
-            return "batched"
-        return "reference"
+        for name, entry in _REGISTRY.items():
+            if needs <= entry.supports and (name != "batched" or HAVE_NUMPY):
+                return name
+        raise ConfigurationError(
+            f"no engine supports {', '.join(sorted(needs))}")
     if mode not in _REGISTRY:
         raise ConfigurationError(
             f"unknown engine mode {mode!r}; "
@@ -239,13 +175,14 @@ def make_engine(request: EngineRequest, mode: str = "auto"):
     The single construction path for every simulation engine: the
     experiment runner, tests, and benches all come through here.
     """
-    concrete = resolve_mode(
-        mode,
-        slots_per_core=request.slots_per_core,
-        rebind="rebind" if request.rebinder is not None else "",
-        sched="sched" if _control_rebinds(request) else "",
-        heterogeneous=_machine_heterogeneous(request),
-        vm_schedule=_has_stop_times(request),
-        scenario=_control_is_scenario(request),
-    )
-    return _REGISTRY[concrete](request)
+    concrete = resolve_mode(mode, request.needs)
+    entry = _REGISTRY[concrete]
+    missing = sorted(request.needs - entry.supports)
+    if missing:
+        raise ConfigurationError(
+            f"the {concrete} engine lacks "
+            + ", ".join(f"{name!r} ({CAPABILITIES.get(name, name)})"
+                        for name in missing)
+            + "; use engine_mode='reference' or 'auto'"
+        )
+    return entry.builder(request)

@@ -98,8 +98,7 @@ class Hypervisor:
             Thread contexts a core may host.  1 (the paper's
             methodology: never over-committed) unless the run targets
             the Section VII over-commit study, in which case the
-            contexts must be driven by
-            :class:`repro.sim.overcommit.OvercommitEngine`.
+            engine must be built with the same ``slots_per_core``.
         start_offsets:
             Optional per-VM start times in cycles (the paper's
             workload-start-time methodological variable).

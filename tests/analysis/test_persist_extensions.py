@@ -22,7 +22,7 @@ def fresh_cache():
 
 @pytest.mark.parametrize("overrides", [
     dict(slots_per_core=2, policy="random"),
-    dict(rebind="random", rebind_interval=20_000),
+    dict(sched_policy="churn", sched_epoch=20_000),
     dict(phase_plan="burst"),
     dict(l2_vm_quota=True, mix="mix7", policy="rr"),
     dict(start_stagger=10_000, mix="mixB"),

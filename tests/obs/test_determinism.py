@@ -10,6 +10,8 @@ any serialized field fails here.
 
 import json
 
+import pytest
+
 from repro.analysis.persist import result_to_dict
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.store import spec_key
@@ -73,3 +75,27 @@ class TestDeterminismGuard:
         assert tracer.spans(), "tracer recorded nothing"
         assert canonical(plain_store.get(SPEC)) == \
             canonical(traced_store.get(SPEC))
+
+
+_SHAPES = {
+    "single-slot": dict(mix="mix1"),
+    "overcommit": dict(mix="mix1", slots_per_core=2),
+    "single-slot-sched": dict(mix="mix1", sched_policy="contention"),
+    "overcommit-sched-scenario": dict(
+        mix="scn-diurnal-web", scenario="diurnal-web", slots_per_core=2,
+        sched_policy="adaptive"),
+    "batched": dict(mix="mix1", engine_mode="batched"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_every_engine_shape_returns_epoch_series(shape):
+    spec = ExperimentSpec(measured_refs=300, warmup_refs=100, seed=1,
+                          **_SHAPES[shape])
+    probed = run_experiment(spec, use_cache=False, telemetry=Telemetry(),
+                            epoch=2000)
+    assert probed.series
+    assert any(points for points in probed.series.values())
+    # the probe stays read-only on every shape
+    assert canonical(probed) == canonical(run_experiment(spec,
+                                                         use_cache=False))

@@ -8,8 +8,7 @@ from repro.caches.partitioning import WayQuota
 from repro.obs.telemetry import Telemetry
 from repro.qos.controllers import QosController, QosDecision, StaticEqual
 from repro.qos.hook import QosHook
-from repro.sim.engine import ThreadContext
-from repro.sim.overcommit import OvercommitEngine
+from repro.sim.engine import Engine, ThreadContext
 from repro.sim.records import AccessResult, HitLevel
 from repro.vm.hypervisor import Hypervisor
 
@@ -247,8 +246,8 @@ class TestOvercommitRebind:
         # the first control cycle inside thread 0's first quantum, while
         # threads 1 and 2 are still waiting in the queue.
         h = QosHook(FakeChip(), threads, controller, [[0], [0]], epoch=epoch)
-        engine = OvercommitEngine(machine, threads, quantum_refs=5,
-                                  switch_penalty=10, control=h)
+        engine = Engine(machine, threads, slots_per_core=3, quantum_refs=5,
+                        switch_penalty=10, control=h)
         h.bind_actuator(engine)
         result = engine.run()
         return h, engine, threads, result

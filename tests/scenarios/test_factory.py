@@ -1,7 +1,7 @@
-"""Engine-factory gating for scenario control hooks.
+"""Engine-factory gating for scenario runs.
 
-A scenario retargets traces mid-run, so the factory must keep scenario
-runs on the reference engines: ``auto`` resolves to ``reference``, and
+A scenario retargets traces mid-run, so a scenario spec needs the
+``scenario`` capability: ``auto`` resolves to ``reference``, and
 explicitly requesting the batched kernel is a configuration error —
 whether the scenario hook is the control directly or a child of a
 :class:`~repro.sched.hook.CompositeControl`.
@@ -11,9 +11,11 @@ from itertools import count as _count
 
 import pytest
 
-from repro.core.experiment import ExperimentSpec, resolve_defaults
+from repro.core.experiment import ExperimentSpec, engine_needs, resolve_defaults
 from repro.errors import ConfigurationError
 from repro.sim import Engine, EngineRequest, make_engine, resolve_mode
+
+SCENARIO = frozenset({"scenario"})
 
 
 class _FakeMachine:
@@ -22,10 +24,8 @@ class _FakeMachine:
 
 
 class _ScenarioControl:
-    """Duck-typed stand-in carrying the scenario marker."""
+    """Duck-typed stand-in for a scenario hook."""
 
-    pins_reference = True
-    is_scenario_control = True
     next_due = 5_000
 
     def bind_actuator(self, engine):
@@ -52,30 +52,36 @@ def _threads(n=1):
 
 class TestResolveMode:
     def test_auto_pins_reference_for_scenarios(self):
-        assert resolve_mode("auto", scenario=True) == "reference"
+        assert resolve_mode("auto", SCENARIO) == "reference"
 
     def test_auto_still_batches_without_scenario(self):
-        assert resolve_mode("auto", scenario=False) == "batched"
+        assert resolve_mode("auto", frozenset()) == "batched"
 
 
 class TestMakeEngine:
     def test_scenario_control_builds_reference_engine(self):
         request = EngineRequest(machine=_FakeMachine(), threads=_threads(),
-                                control=_ScenarioControl())
+                                control=_ScenarioControl(), needs=SCENARIO)
         assert isinstance(make_engine(request, mode="auto"), Engine)
 
     def test_explicit_batched_with_scenario_raises(self):
         request = EngineRequest(machine=_FakeMachine(), threads=_threads(),
-                                control=_ScenarioControl())
+                                control=_ScenarioControl(), needs=SCENARIO)
         with pytest.raises(ConfigurationError, match="scenario"):
             make_engine(request, mode="batched")
 
     def test_composite_child_pins_too(self):
         from repro.sched import CompositeControl
 
-        composite = CompositeControl([_ScenarioControl()])
-        request = EngineRequest(machine=_FakeMachine(), threads=_threads(),
-                                control=composite)
+        # a scenario composed with QoS and a scheduler still needs the
+        # scenario capability
+        spec = ExperimentSpec(mix="scn-diurnal-web", scenario="diurnal-web",
+                              qos_policy="ucp", sched_policy="adaptive")
+        assert engine_needs(spec) == {"scenario", "migration"}
+        request = EngineRequest(
+            machine=_FakeMachine(), threads=_threads(),
+            control=CompositeControl([_ScenarioControl()]),
+            needs=engine_needs(spec))
         assert isinstance(make_engine(request, mode="auto"), Engine)
         with pytest.raises(ConfigurationError, match="scenario"):
             make_engine(request, mode="batched")

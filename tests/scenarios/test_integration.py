@@ -141,7 +141,6 @@ class TestValidation:
         ("phase_plan", "burst"),
         ("vm_schedule", "0,0:5000,0,0"),
         ("start_stagger", 1_000),
-        ("rebind", "random"),
     ])
     def test_scenario_owns_the_time_varying_axes(self, field, value):
         spec = scenario_spec("diurnal-web", **FAST)

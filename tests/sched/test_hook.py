@@ -3,7 +3,7 @@ composition with the QoS hook, and fixed-seed reproducibility."""
 
 import pytest
 
-from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.core.experiment import ExperimentSpec, engine_needs, run_experiment
 from repro.errors import ConfigurationError
 from repro.sched import CompositeControl, SchedHook, StaticPlacement
 from repro.sim.factory import EngineRequest, make_engine, resolve_mode
@@ -29,22 +29,19 @@ def test_auto_mode_never_resolves_sched_spec_to_batched():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(sched="contention"),
-    dict(heterogeneous=True),
-    dict(vm_schedule=True),
+    dict(sched_policy="contention"),
+    dict(core_speeds="1.0x8,0.5x8"),
+    dict(vm_schedule="0,0,0,0"),
 ])
 def test_resolve_mode_auto_falls_back_to_reference(kwargs):
-    assert resolve_mode("auto", **kwargs) == "reference"
+    spec = ExperimentSpec(mix="mix1", **kwargs)
+    assert resolve_mode("auto", engine_needs(spec)) == "reference"
 
 
 def test_batched_engine_rejects_rebinding_control():
-    class _Rebinding:
-        pins_reference = True
-        next_due = 10_000
-
     request = EngineRequest(machine=object(), threads=[],
-                            control=_Rebinding())
-    with pytest.raises(ConfigurationError, match="rebinding control"):
+                            needs=frozenset({"migration"}))
+    with pytest.raises(ConfigurationError, match="'migration'"):
         make_engine(request, mode="batched")
 
 
@@ -56,13 +53,6 @@ def test_explicit_batched_with_sched_policy_raises():
 
 
 # -- spec validation ---------------------------------------------------
-
-
-def test_sched_policy_excludes_rebind():
-    spec = ExperimentSpec(mix="mix1", sched_policy="contention",
-                          rebind="random", **_FAST)
-    with pytest.raises(ConfigurationError, match="migrate"):
-        run_experiment(spec, use_cache=False)
 
 
 def test_sched_epoch_must_be_positive():
@@ -80,7 +70,7 @@ def test_unknown_sched_policy_raises():
 
 @pytest.mark.parametrize("overrides,match", [
     (dict(slots_per_core=2), "single-slot"),
-    (dict(rebind="random"), "rebind"),
+    (dict(engine_mode="batched"), "churn"),
     (dict(start_stagger=1000), "start_stagger"),
 ])
 def test_vm_schedule_shape_restrictions(overrides, match):
@@ -131,17 +121,14 @@ def test_composite_control_requires_children():
 
 
 def test_composite_pins_reference_iff_any_child_does():
-    class _Plain:
-        next_due = 500
-
-        def on_step(self, now):
-            pass
-
-    class _Pinning(_Plain):
-        pins_reference = True
-
-    assert not CompositeControl([_Plain()]).pins_reference
-    assert CompositeControl([_Plain(), _Pinning()]).pins_reference
+    # QoS alone runs on any engine; composed with a scheduler the run
+    # needs migration, which only the reference engine supports
+    qos = ExperimentSpec(mix="mix1", qos_policy="ucp")
+    both = ExperimentSpec(mix="mix1", qos_policy="ucp",
+                          sched_policy="contention")
+    assert engine_needs(qos) == frozenset()
+    assert engine_needs(both) == frozenset({"migration"})
+    assert resolve_mode("auto", engine_needs(both)) == "reference"
 
 
 def test_composite_dispatches_only_due_children():

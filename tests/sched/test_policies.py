@@ -42,8 +42,8 @@ def _window(threads, queues=None, domain_of_core=None, now=10_000):
 
 
 def test_registry_names():
-    assert SCHED_POLICY_NAMES == ("adaptive", "contention", "hetero",
-                                  "static")
+    assert SCHED_POLICY_NAMES == ("adaptive", "churn", "contention",
+                                  "heal", "hetero", "static")
 
 
 @pytest.mark.parametrize("name,cls", [

@@ -1,12 +1,19 @@
-"""Tests for dynamic thread rebinding (migration)."""
+"""Tests for dynamic thread rebinding (migration) on the reference engine.
+
+Permutation migrations go through :meth:`Engine.apply_migrations`; the
+Section VII churn and affinity-healing studies are the ``churn`` and
+``heal`` scheduling policies driven by a :class:`SchedHook`.
+"""
 
 import itertools
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.dynamic import AffinityRebinder, MigratingEngine, RandomRebinder
-from repro.sim.engine import ThreadContext
+from repro.sched import AffinityHealing, RandomChurn, SchedHook, SchedView
+from repro.sched.policies import SchedDecision, Scheduler
+from repro.sched.signals import SchedWindow, ThreadDelta
+from repro.sim.engine import Engine, ThreadContext
 from repro.sim.records import AccessResult, HitLevel
 from repro.sim.rng import RngFactory
 
@@ -25,6 +32,16 @@ class RecordingMachine:
         self.bindings.append((core, vm))
 
 
+class RecordingHypervisor:
+    def __init__(self, machine):
+        self.machine = machine
+
+    def rebind_thread(self, context, core, previous=-1, bind_core=True):
+        context.core_id = core
+        if bind_core:
+            self.machine.bind_core_to_vm(core, context.vm_id)
+
+
 def refs():
     return itertools.cycle([(1, 0, 0)])
 
@@ -33,137 +50,172 @@ def thread(tid, vm=0, core=0, measured=500):
     return ThreadContext(tid, vm, core, refs(), measured_refs=measured)
 
 
-class FixedRebinder:
+class FixedMove(Scheduler):
     """Moves thread 0 to a given core once, then does nothing."""
 
+    name = "fixed"
+
     def __init__(self, target_core):
+        super().__init__()
         self.target_core = target_core
         self.fired = False
 
-    def rebind(self, now, threads):
+    def decide(self, window):
         if self.fired:
-            return {}
+            return SchedDecision()
         self.fired = True
-        return {0: self.target_core}
+        return SchedDecision({0: self.target_core})
 
 
-class ConflictingRebinder:
-    def rebind(self, now, threads):
-        return {t.thread_id: 5 for t in threads}
+def run_with_hook(machine, threads, policy, epoch=500, penalty=1_000,
+                  hypervisor=None):
+    hook = SchedHook(machine, threads, policy, epoch=epoch,
+                     migration_penalty=penalty, hypervisor=hypervisor)
+    engine = Engine(machine, threads, control=hook)
+    hook.bind_actuator(engine)
+    return hook, engine.run()
 
 
 class TestMigratingEngine:
     def test_migration_changes_issuing_core(self):
         machine = RecordingMachine()
-        engine = MigratingEngine(machine, [thread(0, core=0, measured=400)],
-                                 rebinder=FixedRebinder(7), interval=500,
-                                 migration_penalty=0)
-        engine.run()
+        hook, _ = run_with_hook(machine, [thread(0, core=0, measured=400)],
+                                FixedMove(7), penalty=0)
         cores = {c for c, _t in machine.calls}
         assert cores == {0, 7}
-        assert engine.migrations == 1
+        assert hook.migrations == 1
 
     def test_migration_penalty_delays_next_issue(self):
         def final_time(penalty):
             machine = RecordingMachine()
-            engine = MigratingEngine(
-                machine, [thread(0, measured=400)],
-                rebinder=FixedRebinder(7), interval=500,
-                migration_penalty=penalty)
-            return max(engine.run().vm_completion_times.values())
+            _, result = run_with_hook(machine, [thread(0, measured=400)],
+                                      FixedMove(7), penalty=penalty)
+            return result.final_time
 
         assert final_time(50_000) > final_time(0)
 
     def test_vm_binding_updated_on_migration(self):
         machine = RecordingMachine()
-        engine = MigratingEngine(machine, [thread(0, vm=3, measured=400)],
-                                 rebinder=FixedRebinder(7), interval=500)
-        engine.run()
+        run_with_hook(machine, [thread(0, vm=3, measured=400)],
+                      FixedMove(7), hypervisor=RecordingHypervisor(machine))
         assert (7, 3) in machine.bindings
 
     def test_conflicting_rebind_rejected(self):
-        machine = RecordingMachine()
-        engine = MigratingEngine(
-            machine,
-            [thread(0, core=0, measured=300), thread(1, core=1, measured=300)],
-            rebinder=ConflictingRebinder(), interval=500)
+        engine = Engine(RecordingMachine(),
+                        [thread(0, core=0), thread(1, core=1)])
         with pytest.raises(SimulationError, match="conflict"):
-            engine.run()
+            engine.apply_migrations({0: 5, 1: 5}, now=0)
 
     def test_stats_complete_despite_migration(self):
         machine = RecordingMachine()
-        engine = MigratingEngine(machine, [thread(0, measured=400)],
-                                 rebinder=FixedRebinder(3), interval=300)
-        result = engine.run()
+        _, result = run_with_hook(machine, [thread(0, measured=400)],
+                                  FixedMove(3), epoch=300)
         assert result.thread_stats[0].refs == 400
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            MigratingEngine(RecordingMachine(), [], FixedRebinder(1))
+            Engine(RecordingMachine(), [])
         with pytest.raises(SimulationError):
-            MigratingEngine(RecordingMachine(), [thread(0)],
-                            FixedRebinder(1), interval=0)
-        with pytest.raises(SimulationError):
-            MigratingEngine(RecordingMachine(),
-                            [thread(0, core=2), thread(1, core=2)],
-                            FixedRebinder(1))
+            Engine(RecordingMachine(), [thread(0, core=2), thread(1, core=2)])
+        overcommitted = Engine(RecordingMachine(),
+                               [thread(0, core=2), thread(1, core=2)],
+                               slots_per_core=2)
+        with pytest.raises(SimulationError, match="rebind_thread"):
+            overcommitted.apply_migrations({1: 3}, now=0)
+
+
+def _window(threads, domain_of_core=None):
+    return SchedWindow(
+        now=0,
+        threads={t.thread_id: ThreadDelta(t.thread_id, t.vm_id, t.core_id,
+                                           0, 0, 0, 0, 0, 0)
+                 for t in threads},
+        vms={}, domain_queues=None, queues=None,
+        domain_of_core=domain_of_core,
+    )
+
+
+def _churn(num_cores=16, slots_per_core=1):
+    policy = RandomChurn()
+    policy.attach(SchedView(num_cores=num_cores,
+                            slots_per_core=slots_per_core,
+                            rng=RngFactory(1).stream("r")))
+    return policy
 
 
 class TestRandomRebinder:
+    """The ``churn`` policy: a random re-deal every epoch."""
+
     def test_permutation_is_conflict_free(self):
-        rb = RandomRebinder(16, RngFactory(1).stream("r"))
         threads = [thread(i, core=i) for i in range(10)]
-        moves = rb.rebind(0, threads)
+        moves = _churn().decide(_window(threads)).migrations
         new_cores = [moves.get(t.thread_id, t.core_id) for t in threads]
         assert len(set(new_cores)) == len(new_cores)
 
     def test_deterministic_per_stream(self):
-        a = RandomRebinder(16, RngFactory(1).stream("r")).rebind(
-            0, [thread(i, core=i) for i in range(8)])
-        b = RandomRebinder(16, RngFactory(1).stream("r")).rebind(
-            0, [thread(i, core=i) for i in range(8)])
-        assert a == b
+        a = _churn().decide(_window([thread(i, core=i) for i in range(8)]))
+        b = _churn().decide(_window([thread(i, core=i) for i in range(8)]))
+        assert a.migrations == b.migrations
+
+    def test_needs_a_seeded_stream(self):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="sched"):
+            RandomChurn().attach(SchedView(num_cores=4))
 
 
 class TestAffinityRebinder:
+    """The ``heal`` policy: pack each VM into its dominant domain."""
+
+    # 4 domains of 4 cores (0-3, 4-7, 8-11, 12-15)
+    DOMAIN_OF = [i // 4 for i in range(16)]
+
     def test_consolidates_scattered_vm(self):
-        # 4 domains of 4 cores (0-3, 4-7, 8-11, 12-15 for simplicity)
-        domain_of = [i // 4 for i in range(16)]
-        cores_of = [[4 * d + j for j in range(4)] for d in range(4)]
-        rb = AffinityRebinder(domain_of, cores_of)
         # VM 0 scattered across all domains
         threads = [thread(i, vm=0, core=i * 4) for i in range(4)]
-        moves = rb.rebind(0, threads)
+        moves = AffinityHealing().decide(
+            _window(threads, self.DOMAIN_OF)).migrations
         new_cores = [moves.get(t.thread_id, t.core_id) for t in threads]
-        domains = {domain_of[c] for c in new_cores}
+        domains = {self.DOMAIN_OF[c] for c in new_cores}
         assert len(domains) == 1
 
     def test_already_affine_vm_untouched(self):
-        domain_of = [i // 4 for i in range(16)]
-        cores_of = [[4 * d + j for j in range(4)] for d in range(4)]
-        rb = AffinityRebinder(domain_of, cores_of)
         threads = [thread(i, vm=0, core=i) for i in range(4)]
-        moves = rb.rebind(0, threads)
+        moves = AffinityHealing().decide(
+            _window(threads, self.DOMAIN_OF)).migrations
         # threads may be shuffled within the domain but never leave it
         for tid, core in moves.items():
-            assert domain_of[core] == 0
+            assert self.DOMAIN_OF[core] == 0
 
 
 class TestSpecIntegration:
     def test_rebind_through_spec(self):
-        from repro.core.experiment import (
-            ExperimentSpec, clear_result_cache, run_experiment)
-        clear_result_cache()
-        result = run_experiment(ExperimentSpec(
-            mix="iso-tpch", rebind="random", rebind_interval=30_000,
-            seed=1, measured_refs=1200, warmup_refs=300))
-        assert result.vm_metrics[0].refs == 4800
-        clear_result_cache()
-
-    def test_rebind_and_overcommit_conflict(self):
         from repro.core.experiment import ExperimentSpec, run_experiment
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError, match="combined"):
-            run_experiment(ExperimentSpec(
-                mix="iso-tpch", rebind="random", slots_per_core=2,
-                seed=1, measured_refs=200, warmup_refs=0), use_cache=False)
+
+        result = run_experiment(ExperimentSpec(
+            mix="iso-tpch", sched_policy="churn", sched_epoch=30_000,
+            seed=1, measured_refs=1200, warmup_refs=300), use_cache=False)
+        assert result.vm_metrics[0].refs == 4800
+        assert result.sched["migrations"] > 0
+
+    def test_churn_composes_with_overcommit(self):
+        from repro.core.experiment import ExperimentSpec, run_experiment
+
+        result = run_experiment(ExperimentSpec(
+            mix="mixC", sched_policy="churn", sched_epoch=5_000,
+            slots_per_core=2, policy="affinity", seed=1,
+            measured_refs=400, warmup_refs=100), use_cache=False)
+        assert result.sched["control_epochs"] > 0
+        assert [vm.refs for vm in result.vm_metrics] == [1600] * 4
+
+    def test_churn_honours_core_speeds(self):
+        from repro.core.experiment import ExperimentSpec, run_experiment
+
+        def final_time(core_speeds):
+            return run_experiment(ExperimentSpec(
+                mix="mixC", policy="random", sched_policy="churn",
+                sched_epoch=20_000, core_speeds=core_speeds, seed=1,
+                measured_refs=400, warmup_refs=100),
+                use_cache=False).final_time
+
+        assert final_time("1.0x8,0.25x8") != final_time("")

@@ -1,23 +1,23 @@
-"""Tests for the unified engine factory."""
+"""Tests for the unified engine factory and its capability gating."""
 
-import numpy as _np
 import pytest
 
-from repro.core.experiment import ExperimentSpec, resolve_defaults
+from repro.core.experiment import ExperimentSpec, engine_needs, resolve_defaults
 from repro.core.store import result_from_dict, result_to_dict
 from repro.errors import ConfigurationError
 from repro.sim import (
+    CAPABILITIES,
     Engine,
     EngineRequest,
-    MigratingEngine,
-    OvercommitEngine,
-    RandomRebinder,
     engine_modes,
     make_engine,
     register_engine,
     resolve_mode,
 )
 from repro.sim.factory import _REGISTRY
+
+OVERCOMMIT = frozenset({"overcommit"})
+MIGRATION = frozenset({"migration"})
 
 
 class _FakeMachine:
@@ -56,10 +56,14 @@ class TestResolveMode:
         assert resolve_mode("auto") == "batched"
 
     def test_auto_falls_back_for_overcommit(self):
-        assert resolve_mode("auto", slots_per_core=2) == "reference"
+        assert resolve_mode("auto", OVERCOMMIT) == "reference"
 
     def test_auto_falls_back_for_rebind(self):
-        assert resolve_mode("auto", rebind="random") == "reference"
+        assert resolve_mode("auto", MIGRATION) == "reference"
+
+    @pytest.mark.parametrize("need", sorted(CAPABILITIES))
+    def test_auto_picks_reference_for_every_capability(self, need):
+        assert resolve_mode("auto", frozenset({need})) == "reference"
 
     def test_auto_falls_back_without_numpy(self, monkeypatch):
         monkeypatch.setattr("repro.sim.factory.HAVE_NUMPY", False)
@@ -90,40 +94,74 @@ class TestMakeEngine:
     def test_reference_overcommit_builds_overcommit(self):
         engine = make_engine(
             EngineRequest(machine=_FakeMachine(), threads=_threads(),
-                          slots_per_core=2),
+                          slots_per_core=2, needs=OVERCOMMIT),
             mode="reference")
-        assert isinstance(engine, OvercommitEngine)
+        assert isinstance(engine, Engine)
+        assert engine.overcommitted
 
     def test_reference_rebinder_builds_migrating(self):
         engine = make_engine(
             EngineRequest(machine=_FakeMachine(), threads=_threads(),
-                          rebinder=RandomRebinder(1, _np.random.default_rng(0))),
+                          needs=MIGRATION),
             mode="reference")
-        assert isinstance(engine, MigratingEngine)
+        assert isinstance(engine, Engine)
+        assert not engine.overcommitted
+        assert engine.apply_migrations({0: 1}, now=0) == 1
 
     def test_batched_rejects_overcommit(self):
-        with pytest.raises(ConfigurationError, match="over-commit"):
+        with pytest.raises(ConfigurationError, match="'overcommit'"):
             make_engine(
                 EngineRequest(machine=_FakeMachine(), threads=_threads(),
-                              slots_per_core=2),
+                              slots_per_core=2, needs=OVERCOMMIT),
                 mode="batched")
 
     def test_batched_rejects_rebinder(self):
-        with pytest.raises(ConfigurationError, match="rebind"):
+        with pytest.raises(ConfigurationError, match="'migration'"):
             make_engine(
                 EngineRequest(machine=_FakeMachine(), threads=_threads(),
-                              rebinder=RandomRebinder(1, _np.random.default_rng(0))),
+                              needs=MIGRATION),
+                mode="batched")
+
+    def test_batched_error_names_every_missing_capability(self):
+        with pytest.raises(ConfigurationError,
+                           match="'churn'.*'heterogeneous'"):
+            make_engine(
+                EngineRequest(machine=_FakeMachine(), threads=_threads(),
+                              needs=frozenset({"heterogeneous", "churn"})),
                 mode="batched")
 
     def test_auto_with_overcommit_resolves_to_reference(self):
         engine = make_engine(
             EngineRequest(machine=_FakeMachine(), threads=_threads(),
-                          slots_per_core=2),
+                          slots_per_core=2, needs=OVERCOMMIT),
             mode="auto")
-        assert isinstance(engine, OvercommitEngine)
+        assert isinstance(engine, Engine)
+        assert engine.overcommitted
+
+
+class TestEngineNeeds:
+    @pytest.mark.parametrize("overrides,needs", [
+        (dict(), set()),
+        (dict(slots_per_core=2), {"overcommit"}),
+        (dict(sched_policy="static"), {"migration"}),
+        (dict(mix="scn-diurnal-web", scenario="diurnal-web"), {"scenario"}),
+        (dict(core_speeds="1.0x8,0.5x8"), {"heterogeneous"}),
+        (dict(l2_asym="16x2,8x2"), {"heterogeneous"}),
+        (dict(vm_schedule="0,0:9000,0,0"), {"churn"}),
+        (dict(qos_policy="ucp"), set()),
+    ])
+    def test_needs_follow_the_spec(self, overrides, needs):
+        spec = ExperimentSpec(**{"mix": "mix1", **overrides})
+        assert engine_needs(spec) == needs
+        assert set(engine_needs(spec)) <= set(CAPABILITIES)
 
 
 class TestRegisterEngine:
+    def test_unknown_capability_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown capabilities"):
+            register_engine("custom-test", lambda request: None,
+                            supports=frozenset({"teleport"}))
+
     def test_custom_mode_round_trips(self):
         sentinel = object()
         register_engine("custom-test", lambda request: sentinel)

@@ -1,11 +1,11 @@
-"""Tests for the over-commit (time-multiplexing) engine."""
+"""Tests for over-committed (time-multiplexed) run queues."""
 
 import itertools
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import ThreadContext
+from repro.sim.engine import Engine, ThreadContext
 from repro.sim.overcommit import OvercommitEngine
 from repro.sim.records import AccessResult, HitLevel
 
@@ -34,13 +34,17 @@ def thread(tid, vm=0, core=0, measured=20, block=1, start=0, stop=None):
                          stop_time=stop)
 
 
+def overcommitted(machine, threads, **kwargs):
+    return Engine(machine, threads, slots_per_core=2, **kwargs)
+
+
 class TestTimeMultiplexing:
     def test_two_threads_share_one_core(self):
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, block=1),
                    thread(1, vm=1, core=0, block=2)]
-        result = OvercommitEngine(machine, threads, quantum_refs=5,
-                                  switch_penalty=10).run()
+        result = overcommitted(machine, threads, quantum_refs=5,
+                               switch_penalty=10).run()
         assert result.thread_stats[0].refs == 20
         assert result.thread_stats[1].refs == 20
         assert result.context_switches >= 7
@@ -49,8 +53,8 @@ class TestTimeMultiplexing:
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, block=1, measured=10),
                    thread(1, vm=1, core=0, block=2, measured=10)]
-        OvercommitEngine(machine, threads, quantum_refs=5,
-                         switch_penalty=0).run()
+        overcommitted(machine, threads, quantum_refs=5,
+                      switch_penalty=0).run()
         blocks = [c[1] for c in machine.calls[:20]]
         assert blocks[:5] == [1] * 5
         assert blocks[5:10] == [2] * 5
@@ -60,24 +64,24 @@ class TestTimeMultiplexing:
             machine = RecordingMachine()
             threads = [thread(0, vm=0, core=0, measured=40),
                        thread(1, vm=1, core=0, measured=40)]
-            result = OvercommitEngine(machine, threads, quantum_refs=4,
-                                      switch_penalty=penalty).run()
+            result = overcommitted(machine, threads, quantum_refs=4,
+                                   switch_penalty=penalty).run()
             return max(result.vm_completion_times.values())
 
         assert completion(500) > completion(0)
 
     def test_sole_thread_never_switches(self):
         machine = RecordingMachine()
-        result = OvercommitEngine(machine, [thread(0, measured=30)],
-                                  quantum_refs=5).run()
+        result = overcommitted(machine, [thread(0, measured=30)],
+                               quantum_refs=5).run()
         assert result.context_switches == 0
 
     def test_vm_binding_follows_active_thread(self):
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, measured=10),
                    thread(1, vm=1, core=0, measured=10)]
-        OvercommitEngine(machine, threads, quantum_refs=5,
-                         switch_penalty=0).run()
+        overcommitted(machine, threads, quantum_refs=5,
+                      switch_penalty=0).run()
         assert (0, 0) in machine.bindings
         assert (0, 1) in machine.bindings
 
@@ -85,13 +89,13 @@ class TestTimeMultiplexing:
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, measured=10),
                    thread(1, vm=1, core=1, measured=10)]
-        result = OvercommitEngine(machine, threads).run()
+        result = overcommitted(machine, threads).run()
         assert set(result.vm_completion_times) == {0, 1}
 
     def test_start_times_honored(self):
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, measured=5, start=1000)]
-        OvercommitEngine(machine, threads).run()
+        overcommitted(machine, threads).run()
         assert machine.calls[0][2] >= 1000
 
 
@@ -102,8 +106,8 @@ class TestChurnRetirement:
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, measured=1000, stop=200),
                    thread(1, vm=1, core=0, block=2, measured=50)]
-        result = OvercommitEngine(machine, threads, quantum_refs=5,
-                                  switch_penalty=0).run()
+        result = overcommitted(machine, threads, quantum_refs=5,
+                               switch_penalty=0).run()
         assert result.thread_stats[0].refs < 1000
         assert result.thread_stats[1].refs == 50
         departed_issues = [c for c in machine.calls
@@ -114,8 +118,8 @@ class TestChurnRetirement:
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, measured=1000, stop=200),
                    thread(1, vm=1, core=0, block=2, measured=50)]
-        result = OvercommitEngine(machine, threads, quantum_refs=5,
-                                  switch_penalty=0).run()
+        result = overcommitted(machine, threads, quantum_refs=5,
+                               switch_penalty=0).run()
         assert result.vm_completion_times[0] >= 200
         assert result.vm_completion_times[0] <= \
             result.vm_completion_times[1]
@@ -124,8 +128,8 @@ class TestChurnRetirement:
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, measured=1000, stop=50),
                    thread(1, vm=1, core=0, block=2, measured=30)]
-        engine = OvercommitEngine(machine, threads, quantum_refs=1000,
-                                  switch_penalty=0)
+        engine = overcommitted(machine, threads, quantum_refs=1000,
+                               switch_penalty=0)
         result = engine.run()
         # with a quantum longer than the run, the only switch is the
         # handover at retirement
@@ -137,8 +141,8 @@ class TestChurnRetirement:
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, measured=1000, stop=50),
                    thread(1, vm=1, core=1, block=2, measured=40)]
-        engine = OvercommitEngine(machine, threads, quantum_refs=5,
-                                  switch_penalty=0)
+        engine = overcommitted(machine, threads, quantum_refs=5,
+                               switch_penalty=0)
         result = engine.run()
         assert result.thread_stats[1].refs == 40
         assert 0 not in engine.run_queues()
@@ -148,8 +152,8 @@ class TestChurnRetirement:
         machine = RecordingMachine()
         threads = [thread(0, vm=0, core=0, measured=10),
                    thread(1, vm=1, core=0, block=2, measured=10)]
-        engine = OvercommitEngine(machine, threads, quantum_refs=5,
-                                  switch_penalty=0)
+        engine = overcommitted(machine, threads, quantum_refs=5,
+                               switch_penalty=0)
         assert not engine._has_stops
         result = engine.run()
         assert result.thread_stats[0].refs == 10
@@ -159,19 +163,36 @@ class TestChurnRetirement:
 class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):
-            OvercommitEngine(RecordingMachine(), [])
+            overcommitted(RecordingMachine(), [])
 
     def test_bad_quantum(self):
         with pytest.raises(SimulationError):
-            OvercommitEngine(RecordingMachine(), [thread(0)], quantum_refs=0)
+            overcommitted(RecordingMachine(), [thread(0)], quantum_refs=0)
 
     def test_bad_penalty(self):
         with pytest.raises(SimulationError):
-            OvercommitEngine(RecordingMachine(), [thread(0)],
-                             switch_penalty=-1)
+            overcommitted(RecordingMachine(), [thread(0)],
+                          switch_penalty=-1)
 
     def test_max_steps_guard(self):
-        engine = OvercommitEngine(RecordingMachine(),
-                                  [thread(0, measured=100)], max_steps=3)
+        engine = overcommitted(RecordingMachine(),
+                               [thread(0, measured=100)], max_steps=3)
         with pytest.raises(SimulationError, match="exceeded"):
             engine.run()
+
+
+class TestOvercommitSubclass:
+    def test_subclass_runs_the_same_loop(self):
+        def outcome(factory):
+            machine = RecordingMachine()
+            threads = [thread(0, vm=0, core=0, measured=30),
+                       thread(1, vm=1, core=0, block=2, measured=30),
+                       thread(2, vm=1, core=0, block=3, measured=30)]
+            result = factory(machine, threads, quantum_refs=4,
+                             switch_penalty=7).run()
+            return machine.calls, result.final_time, result.context_switches
+
+        assert outcome(OvercommitEngine) == outcome(
+            lambda m, t, **kw: Engine(m, t, slots_per_core=3, **kw))
+        # its own class-dict entry: tracers wrap it apart from Engine.run
+        assert "run" in OvercommitEngine.__dict__

@@ -84,10 +84,13 @@ class TestCommands:
         assert code == 0
 
     def test_run_rebind_flag(self, capsys):
+        # dynamic rebinding is a scheduling policy; the old flag is gone
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--rebind", "random"])
         code, _out, _err = run_cli(
             capsys, "run", "--mix", "iso-tpch", "--refs", "400",
-            "--seed", "1", "--rebind", "random",
-            "--rebind-interval", "30000")
+            "--seed", "1", "--sched-policy", "churn",
+            "--sched-epoch", "30000")
         assert code == 0
 
     def test_run_phase_plan_flag(self, capsys):
