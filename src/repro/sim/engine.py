@@ -465,13 +465,10 @@ class Engine:
         bind = self._bind = getattr(self.machine, "bind_core_to_vm", None)
         for key, queue in queues.items():
             head = threads[queue[0]]
-            core = head.core_id
             if bind is not None:
-                bind(core, head.vm_id)
-            think = pending[head.thread_id][2]
-            heap.append((head.start_time
-                         + (think if inv is None else int(think * inv[core])),
-                         key))
+                bind(head.core_id, head.vm_id)
+            heap.append((head.start_time + self._think(
+                head.core_id, pending[head.thread_id][2]), key))
             quantum_left[key] = quantum
         heapq.heapify(heap)
 
@@ -543,10 +540,9 @@ class Engine:
                     context_switches += 1
                     if bind is not None and next_thread.vm_id != thread.vm_id:
                         bind(core, next_thread.vm_id)
-                    think = pending[next_thread.thread_id][2]
                     heapq.heappush(heap, (
-                        issue_time + penalty
-                        + (think if inv is None else int(think * inv[core])),
+                        issue_time + penalty + self._think(
+                            core, pending[next_thread.thread_id][2]),
                         key))
                 continue
             block, access, think = pending[tid]

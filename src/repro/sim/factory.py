@@ -48,11 +48,11 @@ __all__ = [
 ]
 
 CAPABILITIES: Dict[str, str] = {
-    "overcommit": "more threads than cores (slots_per_core > 1)",
-    "migration": "threads changing cores mid-run (sched_policy)",
+    "overcommit": "more threads than cores: slots_per_core > 1",
+    "migration": "threads changing cores mid-run: any sched_policy",
     "scenario": "time-varying scenario control",
     "heterogeneous": "core speed classes or asymmetric L2 domains",
-    "churn": "VM arrivals and departures (vm_schedule)",
+    "churn": "VM arrivals and departures: a vm_schedule",
 }
 """Capability name -> what a run needing it does."""
 
