@@ -4,7 +4,7 @@ Two cooperating classes implement the *functional* hierarchy state:
 
 * :class:`CoreCacheStack` — the private L0 (8 KB) and L1 (64 KB) of one
   core.  L1 is inclusive of L0; dirty data propagates downward on
-  eviction.
+  eviction.  A private line's value is its dirty flag, a plain ``bool``.
 * :class:`L2Domain` — one last-level-cache partition shared by N cores
   (N in {1, 2, 4, 8, 16} per the paper's private / shared-N-way / fully
   shared design points).  The domain is inclusive of its member cores'
@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from .geometry import CacheGeometry
-from .line import L2Line, PrivateLine
+from .line import L2Line
 from .replacement import ReplacementPolicy
 from .setassoc import SetAssocCache
 
@@ -62,29 +62,24 @@ class CoreCacheStack:
         :meth:`mark_dirty` separately, *after* the machine model has
         obtained write permission from the directory.
         """
-        line = self.l0.lookup(block)
-        if line is not None:
+        if self.l0.lookup(block) is not None:
             return 0
-        line = self.l1.lookup(block)
-        if line is not None:
-            self._fill_l0(block, line.dirty)
+        dirty = self.l1.lookup(block)
+        if dirty is not None:
+            self._fill_l0(block, dirty)
             return 1
         return None
 
     def mark_dirty(self, block: int) -> None:
         """Mark a privately-cached block modified and claim ownership
         of it inside the domain.  Call only after a successful probe."""
-        line = self.l0.peek(block)
-        if line is not None:
-            line.dirty = True
-        line = self.l1.peek(block)
-        if line is not None:
-            line.dirty = True
+        self.l0.update(block, True)
+        self.l1.update(block, True)
         self._claim_ownership(block)
 
     def fill(self, block: int, dirty: bool) -> None:
         """Install a block into L1 and L0 after a miss was satisfied."""
-        evicted = self.l1.insert(block, PrivateLine(dirty))
+        evicted = self.l1.insert(block, dirty)
         if evicted is not None:
             self._spill_l1_victim(*evicted)
         self._fill_l0(block, dirty)
@@ -95,46 +90,34 @@ class CoreCacheStack:
 
     def invalidate(self, block: int) -> bool:
         """Drop the block from L0 and L1; True if a dirty copy existed."""
-        dirty = False
-        line = self.l0.invalidate(block)
-        if line is not None and line.dirty:
-            dirty = True
-        line = self.l1.invalidate(block)
-        if line is not None and line.dirty:
-            dirty = True
-        return dirty
+        l0_dirty = self.l0.invalidate(block)
+        l1_dirty = self.l1.invalidate(block)
+        return l0_dirty is True or l1_dirty is True
 
     def holds(self, block: int) -> bool:
         return block in self.l1 or block in self.l0
 
     def holds_dirty(self, block: int) -> bool:
-        l0 = self.l0.peek(block)
-        if l0 is not None and l0.dirty:
-            return True
-        l1 = self.l1.peek(block)
-        return l1 is not None and l1.dirty
+        return self.l0.peek(block) is True or self.l1.peek(block) is True
 
     # ------------------------------------------------------------------
 
     def _fill_l0(self, block: int, dirty: bool) -> None:
-        evicted = self.l0.insert(block, PrivateLine(dirty))
+        evicted = self.l0.insert(block, dirty)
         if evicted is None:
             return
-        victim, victim_line = evicted
-        if victim_line.dirty:
-            # merge dirtiness down into L1 (inclusive)
-            l1_line = self.l1.peek(victim)
-            if l1_line is not None:
-                l1_line.dirty = True
-            elif self.domain is not None:
-                # L1 lost the line already (race with back-invalidation
-                # ordering); push dirtiness to the domain directly.
-                self.domain.writeback(victim, self.slot)
+        victim, victim_dirty = evicted
+        # merge dirtiness down into L1 (inclusive); if L1 lost the line
+        # already (race with back-invalidation ordering), push dirtiness
+        # to the domain directly
+        if (victim_dirty and not self.l1.update(victim, True)
+                and self.domain is not None):
+            self.domain.writeback(victim, self.slot)
 
-    def _spill_l1_victim(self, victim: int, victim_line: PrivateLine) -> None:
+    def _spill_l1_victim(self, victim: int, victim_dirty: bool) -> None:
         """Handle an L1 capacity eviction: merge L0 state, notify domain."""
-        l0_line = self.l0.invalidate(victim)
-        dirty = victim_line.dirty or (l0_line is not None and l0_line.dirty)
+        l0_dirty = self.l0.invalidate(victim)
+        dirty = victim_dirty or l0_dirty is True
         if self.domain is None:
             raise SimulationError(
                 f"core {self.core_id} evicted from L1 before being attached "
@@ -306,12 +289,8 @@ class L2Domain:
             return
         stack = self.stacks[owner_slot]
         if stack is not None:
-            l0_line = stack.l0.peek(block)
-            if l0_line is not None:
-                l0_line.dirty = False
-            l1_line = stack.l1.peek(block)
-            if l1_line is not None:
-                l1_line.dirty = False
+            stack.l0.update(block, False)
+            stack.l1.update(block, False)
         line.dirty = True
         line.l1_owner = -1
 

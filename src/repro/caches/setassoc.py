@@ -1,10 +1,10 @@
 """Set-associative cache array with pluggable replacement.
 
-The array stores arbitrary per-line metadata objects (see
-:mod:`repro.caches.line`).  Sets are backed by insertion-ordered dicts:
-hit promotion (for LRU) deletes and re-inserts the key, victim selection
-delegates to the replacement policy.  All operations are O(1) for LRU
-and FIFO.
+The array stores arbitrary per-line values: :class:`repro.caches.line.L2Line`
+objects in the shared L2, a plain ``bool`` dirty flag in the private
+L0/L1.  Sets are backed by insertion-ordered dicts: hit promotion (for
+LRU) deletes and re-inserts the key, victim selection delegates to the
+replacement policy.  All operations are O(1) for LRU and FIFO.
 
 This class is purely *functional* cache state — it knows nothing about
 latency, coherence, or the interconnect.  Timing composition happens in
@@ -35,7 +35,8 @@ class SetAssocCache:
         Diagnostic label, e.g. ``"core3/L1"`` or ``"l2/domain0"``.
     """
 
-    __slots__ = ("geometry", "policy", "name", "stats", "_sets", "_set_mask")
+    __slots__ = ("geometry", "policy", "name", "stats", "_sets", "_set_mask",
+                 "_assoc", "_promotes")
 
     def __init__(
         self,
@@ -49,6 +50,8 @@ class SetAssocCache:
         self.stats = CacheStats()
         self._sets: list = [{} for _ in range(geometry.num_sets)]
         self._set_mask = geometry.num_sets - 1
+        self._assoc = geometry.assoc
+        self._promotes = self.policy.promotes_on_hit
 
     # ------------------------------------------------------------------
     # core operations
@@ -67,7 +70,7 @@ class SetAssocCache:
             stats.misses += 1
             return None
         stats.hits += 1
-        if self.policy.promotes_on_hit:
+        if self._promotes:
             del cache_set[block]
             cache_set[block] = line
         return line
@@ -75,6 +78,17 @@ class SetAssocCache:
     def peek(self, block: int) -> Optional[object]:
         """Return the line object without affecting recency or stats."""
         return self._sets[block & self._set_mask].get(block)
+
+    def update(self, block: int, line: object) -> bool:
+        """Replace ``block``'s value in place; False if it is absent.
+
+        Recency and statistics are left alone.
+        """
+        cache_set = self._sets[block & self._set_mask]
+        if block in cache_set:
+            cache_set[block] = line
+            return True
+        return False
 
     def insert(
         self,
@@ -103,7 +117,7 @@ class SetAssocCache:
             cache_set[block] = line
             return None
         evicted = None
-        if len(cache_set) >= self.geometry.assoc:
+        if len(cache_set) >= self._assoc:
             victim = None
             if victim_selector is not None:
                 victim = victim_selector(cache_set)
@@ -111,7 +125,7 @@ class SetAssocCache:
                 victim = self.policy.victim(cache_set)
             victim_line = cache_set.pop(victim)
             stats.evictions += 1
-            if getattr(victim_line, "dirty", False):
+            if victim_line is True or getattr(victim_line, "dirty", False):
                 stats.dirty_evictions += 1
             evicted = (victim, victim_line)
         cache_set[block] = line
@@ -132,7 +146,7 @@ class SetAssocCache:
         line = cache_set.get(block)
         if line is None:
             return False
-        if self.policy.promotes_on_hit:
+        if self._promotes:
             del cache_set[block]
             cache_set[block] = line
         return True

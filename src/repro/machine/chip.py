@@ -93,6 +93,17 @@ class Chip:
             for d in range(len(self.domains))
         ]
         self.vm_of_core: List[int] = [-1] * config.num_cores
+        # hot-path constants, hoisted from the frozen config and placement
+        self._l0_latency = config.l0_geometry.latency
+        self._l1_latency = config.l1_geometry.latency
+        self._private_latency = self._l0_latency + self._l1_latency
+        self._l2_latency = config.l2_latency
+        self._directory_latency = config.directory_latency
+        self._memory_latency = config.memory_latency
+        self._control_flits = config.control_flits
+        self._data_flits = config.data_flits
+        self._domain_of = self.placement.domain_of
+        self._home_tile = self.placement.home_tile
         # optional observer of the L2 access stream (see set_l2_tap)
         self.l2_tap = None
         # chip-level event counters
@@ -133,40 +144,33 @@ class Chip:
     def access(self, core_id: int, block: int, is_write: bool, now: int) -> AccessResult:
         """Serve one reference; returns its decomposed timing."""
         self.accesses += 1
-        config = self.config
         stack = self.stacks[core_id]
 
         # ---- private L0/L1 -------------------------------------------
         lvl = stack.probe(block)
         if lvl is not None:
-            cache = config.l0_geometry.latency
-            if lvl == 1:
-                cache += config.l1_geometry.latency
-            net = 0
-            dir_cycles = 0
-            if is_write:
-                net, dir_cycles = self._write_permission(
-                    core_id, block, now + cache
-                )
-                stack.mark_dirty(block)
-            level = HitLevel.L0 if lvl == 0 else HitLevel.L1
+            if lvl == 0:
+                level, cache = HitLevel.L0, self._l0_latency
+            else:
+                level, cache = HitLevel.L1, self._private_latency
+            if not is_write:
+                return AccessResult(level, cache, cache, 0, 0, 0)
+            net, dir_cycles = self._write_permission(core_id, block, now + cache)
+            stack.mark_dirty(block)
             latency = cache + net + dir_cycles
             return AccessResult(level, latency, cache, net, dir_cycles, 0)
 
         # ---- local L2 domain -----------------------------------------
-        domain_id = self.placement.domain_of[core_id]
+        domain_id = self._domain_of[core_id]
         domain = self.domains[domain_id]
         if self.l2_tap is not None:
             self.l2_tap(domain_id, self.vm_of_core[core_id], block)
-        home = self.placement.home_tile[domain_id]
-        cache = config.l0_geometry.latency + config.l1_geometry.latency
-        net = self.mesh.traverse(
-            core_id, home, config.control_flits, now + cache
-        ).latency
-        t = now + cache + net
-        cache += self.l2_servers[domain_id].request(t)
+        home = self._home_tile[domain_id]
+        cache = self._private_latency
+        net = self.mesh.traverse(core_id, home, self._control_flits, now + cache)
+        cache += self.l2_servers[domain_id].request(now + cache + net)
         line = domain.lookup(block)
-        cache += config.l2_latency
+        cache += self._l2_latency
         t = now + cache + net
 
         if line is not None:
@@ -195,7 +199,6 @@ class Chip:
         net: int,
         t: int,
     ) -> AccessResult:
-        config = self.config
         stack = self.stacks[core_id]
         level = HitLevel.L2
         owner_slot = domain.dirty_private_holder(block, exclude_slot=stack.slot)
@@ -203,14 +206,10 @@ class Chip:
             # a peer core in the domain holds the only modified copy:
             # forward the request to its L1 and transfer the data
             owner_core = domain.core_ids[owner_slot]
-            net += self.mesh.traverse(
-                home, owner_core, config.control_flits, t
-            ).latency
-            cache += config.l1_geometry.latency
+            net += self.mesh.traverse(home, owner_core, self._control_flits, t)
+            cache += self._l1_latency
             t = now + cache + net
-            net += self.mesh.traverse(
-                owner_core, core_id, config.data_flits, t
-            ).latency
+            net += self.mesh.traverse(owner_core, core_id, self._data_flits, t)
             if is_write:
                 owner_stack = domain.stacks[owner_slot]
                 if owner_stack is not None:
@@ -226,7 +225,7 @@ class Chip:
             self.intra_domain_transfers += 1
         else:
             # data returns from the domain cache
-            net += self.mesh.traverse(home, core_id, config.data_flits, t).latency
+            net += self.mesh.traverse(home, core_id, self._data_flits, t)
 
         dir_cycles = 0
         if is_write:
@@ -252,58 +251,49 @@ class Chip:
         net: int,
         t: int,
     ) -> AccessResult:
-        config = self.config
         stack = self.stacks[core_id]
         outcome = self.coherence.fetch(block, domain_id, is_write)
+        mesh = self.mesh
 
         # request travels to the block's directory home tile
         dir_home = self.directory.home_tile(block)
-        net += self.mesh.traverse(home, dir_home, config.control_flits, t).latency
-        dir_cycles = config.directory_latency
+        net += mesh.traverse(home, dir_home, self._control_flits, t)
+        dir_cycles = self._directory_latency
         if not self.directory.cache_access(block):
             # the entry itself must be fetched from memory
-            dir_cycles += config.memory_latency
+            dir_cycles += self._memory_latency
         t = now + cache + net + dir_cycles
 
         mem_cycles = 0
         if outcome.source == DataSource.MEMORY:
             controller = self.memory.controller_for(block)
-            net += self.mesh.traverse(
-                dir_home, controller.tile, config.control_flits, t
-            ).latency
+            net += mesh.traverse(dir_home, controller.tile, self._control_flits, t)
             t = now + cache + net + dir_cycles
-            result = controller.access(t, block)
-            mem_cycles = result.latency
+            mem_cycles = controller.access(t, block)
             t += mem_cycles
-            net += self.mesh.traverse(
-                controller.tile, core_id, config.data_flits, t
-            ).latency
+            net += mesh.traverse(controller.tile, core_id, self._data_flits, t)
             level = HitLevel.MEMORY
         else:
             provider = outcome.provider_domain
-            provider_home = self.placement.home_tile[provider]
-            net += self.mesh.traverse(
-                dir_home, provider_home, config.control_flits, t
-            ).latency
+            provider_home = self._home_tile[provider]
+            net += mesh.traverse(dir_home, provider_home, self._control_flits, t)
             t = now + cache + net + dir_cycles
             cache += self.l2_servers[provider].request(t)
-            cache += config.l2_latency
+            cache += self._l2_latency
             if outcome.source == DataSource.C2C_DIRTY:
                 pslot = self.domains[provider].dirty_private_holder(
                     block, exclude_slot=-1
                 )
                 if pslot is not None:
                     # modified data sits in a provider-core L1
-                    cache += config.l1_geometry.latency
+                    cache += self._l1_latency
                     if not is_write:
                         self.domains[provider].downgrade_owner(block, pslot)
                 level = HitLevel.C2C_DIRTY
             else:
                 level = HitLevel.C2C_CLEAN
             t = now + cache + net + dir_cycles
-            net += self.mesh.traverse(
-                provider_home, core_id, config.data_flits, t
-            ).latency
+            net += mesh.traverse(provider_home, core_id, self._data_flits, t)
 
         # invalidations fan out from the directory home (writes)
         if outcome.invalidate_domains:
@@ -311,10 +301,9 @@ class Chip:
             for victim in outcome.invalidate_domains:
                 if victim == domain_id:
                     continue
-                victim_home = self.placement.home_tile[victim]
-                leg = self.mesh.traverse(
-                    dir_home, victim_home, config.control_flits, t
-                ).latency
+                leg = mesh.traverse(
+                    dir_home, self._home_tile[victim], self._control_flits, t
+                )
                 inval_latency = max(inval_latency, 2 * leg)
                 self.domains[victim].invalidate(block)
             net += inval_latency
@@ -346,7 +335,7 @@ class Chip:
         Returns ``(network_cycles, directory_cycles)``; both zero on
         the fast path (this domain already owns the block modified).
         """
-        domain_id = self.placement.domain_of[core_id]
+        domain_id = self._domain_of[core_id]
         entry = self.directory.peek(block)
         if entry is None:
             # Locally cached data always has a directory entry; treat a
@@ -354,29 +343,28 @@ class Chip:
             return 0, 0
         if entry.state == DirState.MODIFIED and entry.owner == domain_id:
             return 0, 0
-        config = self.config
         self.upgrade_transactions += 1
+        mesh = self.mesh
         dir_home = self.directory.home_tile(block)
-        net = self.mesh.traverse(core_id, dir_home, config.control_flits, t).latency
-        dir_cycles = config.directory_latency
+        net = mesh.traverse(core_id, dir_home, self._control_flits, t)
+        dir_cycles = self._directory_latency
         if not self.directory.cache_access(block):
-            dir_cycles += config.memory_latency
+            dir_cycles += self._memory_latency
         t2 = t + net + dir_cycles
         outcome = self.coherence.upgrade(block, domain_id)
         inval_latency = 0
         for victim in outcome.invalidate_domains:
             if victim == domain_id:
                 continue
-            victim_home = self.placement.home_tile[victim]
-            leg = self.mesh.traverse(
-                dir_home, victim_home, config.control_flits, t2
-            ).latency
+            leg = mesh.traverse(
+                dir_home, self._home_tile[victim], self._control_flits, t2
+            )
             inval_latency = max(inval_latency, 2 * leg)
             self.domains[victim].invalidate(block)
         if outcome.memory_writeback:
             self.memory.controller_for(block).writeback(t2, block)
         net += inval_latency
-        net += self.mesh.traverse(dir_home, core_id, config.control_flits, t2).latency
+        net += mesh.traverse(dir_home, core_id, self._control_flits, t2)
         return net, dir_cycles
 
     # ------------------------------------------------------------------

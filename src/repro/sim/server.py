@@ -2,17 +2,17 @@
 
 The timing model is *timing-directed trace simulation*: the global event
 loop processes references in global-time order, and every shared hardware
-resource (an L2 bank, a mesh link, a memory channel) is modelled as a
-FIFO server with a deterministic service time.  A request arriving at
-time ``t`` waits until the server's ``busy_until`` clock, occupies it for
-the service time, and experiences ``wait + service`` cycles of delay.
+resource (an L2 bank, a memory bank or channel) is modelled as a FIFO
+server with a deterministic service time.  A request arriving at time
+``t`` waits until the server's ``busy_until`` clock, occupies it for the
+service time, and experiences ``wait + service`` cycles of delay.  Mesh
+links follow the same discipline, kept inline as flat per-link lists in
+:class:`repro.interconnect.analytical.AnalyticalMesh`.
 
 This is the standard queueing abstraction used by fast architectural
 models; it reproduces the congestion phenomena the paper reports
 (affinity scheduling creating interconnect hotspots, memory-controller
-pressure from cache thrashing) without flit- or beat-level detail.  The
-flit-level router in :mod:`repro.interconnect.router` is used to
-calibrate the link service times.
+pressure from cache thrashing) without flit- or beat-level detail.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class FifoServer:
     Parameters
     ----------
     name:
-        Diagnostic label (e.g. ``"l2/domain0"`` or ``"link/5->6"``).
+        Diagnostic label (e.g. ``"l2/domain0"`` or ``"mc1/channel"``).
     service_time:
         Default occupancy per request, in cycles.
 

@@ -115,6 +115,22 @@ class TestInclusion:
         assert not stack.holds(0)
         assert domain.peek(0).dirty, "dirty data lost on L1 eviction"
 
+    def test_l1_counts_dirty_evictions_of_bool_lines(self):
+        domain, (stack, _) = build_domain(l2_lines=32)
+        # blocks 0, 4 and 8 share one of the L1's 4 sets (2 ways)
+        for block in (0, 4, 8):
+            domain.fill(block, dirty=False, vm_id=0, requester_slot=0)
+        stack.fill(0, dirty=False)
+        stack.mark_dirty(0)
+        stack.fill(4, dirty=False)
+        assert stack.l1.peek(0) is True and stack.l1.peek(4) is False
+        stack.fill(8, dirty=False)  # evicts the dirty 0
+        assert stack.l1.stats.evictions == 1
+        assert stack.l1.stats.dirty_evictions == 1
+        stack.fill(0, dirty=False)  # evicts the clean 4
+        assert stack.l1.stats.evictions == 2
+        assert stack.l1.stats.dirty_evictions == 1
+
 
 class TestIntraDomainTransfers:
     def test_dirty_private_holder_detection(self):

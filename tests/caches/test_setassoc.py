@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.caches.geometry import CacheGeometry
-from repro.caches.line import PrivateLine
+from repro.caches.line import L2Line
 from repro.caches.replacement import FifoPolicy, RandomPolicy
 from repro.caches.setassoc import SetAssocCache
 
@@ -17,42 +17,42 @@ class TestBasicOperations:
     def test_miss_then_hit(self):
         c = small_cache()
         assert c.lookup(5) is None
-        c.insert(5, PrivateLine())
+        c.insert(5, False)
         assert c.lookup(5) is not None
         assert c.stats.hits == 1 and c.stats.misses == 1
 
     def test_peek_no_stats(self):
         c = small_cache()
-        c.insert(5, PrivateLine())
+        c.insert(5, False)
         c.peek(5)
         c.peek(6)
         assert c.stats.accesses == 0
 
     def test_lru_eviction_order(self):
         c = small_cache(assoc=2, sets=1)
-        c.insert(0, PrivateLine())
-        c.insert(1, PrivateLine())
+        c.insert(0, False)
+        c.insert(1, False)
         c.lookup(0)  # 0 is now MRU
-        evicted = c.insert(2, PrivateLine())
+        evicted = c.insert(2, False)
         assert evicted[0] == 1
 
     def test_insert_same_block_no_eviction(self):
         c = small_cache(assoc=2, sets=1)
-        c.insert(0, PrivateLine())
-        c.insert(1, PrivateLine())
-        assert c.insert(0, PrivateLine()) is None
+        c.insert(0, False)
+        c.insert(1, False)
+        assert c.insert(0, False) is None
         assert len(c) == 2
 
     def test_set_isolation(self):
         """Blocks mapping to different sets never evict each other."""
         c = small_cache(assoc=1, sets=4)
         for block in range(4):
-            assert c.insert(block, PrivateLine()) is None
+            assert c.insert(block, False) is None
         assert len(c) == 4
 
     def test_invalidate(self):
         c = small_cache()
-        c.insert(3, PrivateLine())
+        c.insert(3, False)
         assert c.invalidate(3) is not None
         assert c.invalidate(3) is None
         assert c.stats.invalidations == 1
@@ -60,29 +60,55 @@ class TestBasicOperations:
 
     def test_dirty_eviction_counted(self):
         c = small_cache(assoc=1, sets=1)
-        c.insert(0, PrivateLine(dirty=True))
-        c.insert(64, PrivateLine())  # hmm: 64 maps to set 0 with 1 set
+        c.insert(0, True)
+        c.insert(64, False)  # one set: 64 evicts 0
         assert c.stats.dirty_evictions == 1
+
+    def test_dirty_eviction_counted_for_l2_lines(self):
+        c = small_cache(assoc=1, sets=1)
+        c.insert(0, L2Line(dirty=True))
+        c.insert(1, L2Line())
+        c.insert(2, L2Line())
+        assert c.stats.evictions == 2
+        assert c.stats.dirty_evictions == 1
+
+    def test_update_replaces_in_place(self):
+        c = small_cache(assoc=2, sets=1)
+        c.insert(0, False)
+        c.insert(1, False)
+        before = vars(c.stats).copy()
+        assert c.update(0, True)
+        assert c.peek(0) is True
+        assert vars(c.stats) == before
+        # 0 stays least recently used: the next insertion evicts it
+        assert c.insert(2, False) == (0, True)
+
+    def test_update_absent_block(self):
+        c = small_cache()
+        c.insert(1, False)
+        assert c.update(5, True) is False
+        assert 5 not in c
+        assert len(c) == 1
 
     def test_touch_refreshes_without_stats(self):
         c = small_cache(assoc=2, sets=1)
-        c.insert(0, PrivateLine())
-        c.insert(1, PrivateLine())
+        c.insert(0, False)
+        c.insert(1, False)
         assert c.touch(0)
-        c.insert(2, PrivateLine())
+        c.insert(2, False)
         assert 0 in c and 1 not in c
         assert c.stats.accesses == 0
 
     def test_occupancy_and_contents(self):
         c = small_cache(assoc=2, sets=4)
-        c.insert(1, PrivateLine())
-        c.insert(2, PrivateLine())
+        c.insert(1, False)
+        c.insert(2, False)
         assert c.occupancy == 2 / 8
         assert {b for b, _ in c.contents()} == {1, 2}
 
     def test_clear_preserves_stats(self):
         c = small_cache()
-        c.insert(1, PrivateLine())
+        c.insert(1, False)
         c.lookup(1)
         c.clear()
         assert len(c) == 0
@@ -92,10 +118,10 @@ class TestBasicOperations:
 class TestFifoPolicy:
     def test_hits_do_not_refresh(self):
         c = small_cache(assoc=2, sets=1, policy=FifoPolicy())
-        c.insert(0, PrivateLine())
-        c.insert(1, PrivateLine())
+        c.insert(0, False)
+        c.insert(1, False)
         c.lookup(0)  # does NOT make 0 MRU under FIFO
-        evicted = c.insert(2, PrivateLine())
+        evicted = c.insert(2, False)
         assert evicted[0] == 0
 
 
@@ -105,7 +131,7 @@ class TestRandomPolicy:
             c = small_cache(assoc=4, sets=1, policy=RandomPolicy(seed=7))
             order = []
             for block in range(20):
-                evicted = c.insert(block, PrivateLine())
+                evicted = c.insert(block, False)
                 if evicted:
                     order.append(evicted[0])
             return order
@@ -127,7 +153,7 @@ class TestCacheProperties:
         for block in blocks:
             c.lookup(block)
             if c.peek(block) is None:
-                c.insert(block, PrivateLine())
+                c.insert(block, False)
         assert len(c) <= 8
         for occupancy in c.set_occupancies():
             assert occupancy <= 2
@@ -139,7 +165,7 @@ class TestCacheProperties:
         c = small_cache(assoc=2, sets=4)
         for block in blocks:
             if c.lookup(block) is None:
-                c.insert(block, PrivateLine())
+                c.insert(block, False)
             assert block in c
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=300))
@@ -148,7 +174,7 @@ class TestCacheProperties:
         c = small_cache(assoc=2, sets=2)
         for block in blocks:
             if c.lookup(block) is None:
-                c.insert(block, PrivateLine())
+                c.insert(block, False)
         s = c.stats
         assert s.hits + s.misses == s.accesses
         assert s.insertions - s.evictions == len(c)

@@ -13,26 +13,22 @@ from repro.memory.controller import (
 class TestMemoryController:
     def test_uncontended_latency_is_table3(self):
         mc = MemoryController(0, tile=0)
-        result = mc.access(now=0, block=0)
-        assert result.latency == DEFAULT_MEMORY_LATENCY == 150
-        assert result.queueing == 0
+        assert mc.access(now=0, block=0) == DEFAULT_MEMORY_LATENCY == 150
 
     def test_same_bank_serializes(self):
         mc = MemoryController(0, tile=0, bank_occupancy=36,
                               channel_occupancy=8)
         mc.access(now=0, block=0)
-        result = mc.access(now=0, block=0)  # same bank
-        # the 36-cycle bank wait covers the channel's 8-cycle burst
-        assert result.queueing == 36
-        assert result.latency == 36 + 150
+        # same bank: the 36-cycle bank wait covers the channel's burst
+        assert mc.access(now=0, block=0) == 36 + 150
 
     def test_different_banks_overlap(self):
         """Bank-level parallelism: only the channel serializes."""
         mc = MemoryController(0, tile=0, num_banks=8,
                               bank_occupancy=36, channel_occupancy=8)
         mc.access(now=0, block=0)
-        result = mc.access(now=0, block=16)  # next bank (block>>4 differs)
-        assert result.queueing == 8  # channel only
+        # next bank (block>>4 differs): the channel's 8 cycles only
+        assert mc.access(now=0, block=16) == 8 + 150
 
     def test_bank_mapping_interleaves(self):
         mc = MemoryController(0, tile=0, num_banks=4)
@@ -43,8 +39,7 @@ class TestMemoryController:
         mc = MemoryController(0, tile=0, bank_occupancy=36,
                               channel_occupancy=8)
         mc.writeback(now=0, block=0)
-        result = mc.access(now=0, block=0)
-        assert result.queueing == 36
+        assert mc.access(now=0, block=0) == 36 + 150
         assert mc.writebacks == 1 and mc.reads == 1
         assert mc.accesses == 2
 
