@@ -75,11 +75,14 @@ def _start_ranks(state: PrivateState):
     return {block: m - 1 - pos for pos, block in enumerate(order)}, order
 
 
-def _finish_epoch(state: PrivateState, order, last_index):
-    """Rebuild the resident ordering after one epoch (see module doc)."""
-    survivors = [b for b in order if b not in last_index]
-    touched = sorted(last_index, key=last_index.__getitem__)
-    new_order = survivors + touched
+def _finish_epoch(state: PrivateState, order, touched):
+    """Rebuild the resident ordering after one epoch (see module doc).
+
+    ``touched`` maps every block of the epoch to None, in last-touch
+    order.
+    """
+    survivors = [b for b in order if b not in touched]
+    new_order = survivors + list(touched)
     if len(new_order) > state.c1:
         new_order = new_order[-state.c1:]
     state.resident = dict.fromkeys(new_order)
@@ -110,7 +113,8 @@ def _fold_py(state: PrivateState, blocks):
         else:
             append(2)
         last[block] = i
-    _finish_epoch(state, order, last)
+    _finish_epoch(state, order,
+                  dict.fromkeys(sorted(last, key=last.__getitem__)))
     return levels
 
 
@@ -148,11 +152,7 @@ def _fold_np(state: PrivateState, blocks):
     is_run_end = _np.ones(n, dtype=bool)
     is_run_end[:-1] = sorted_blocks[1:] != sorted_blocks[:-1]
     last_positions = _np.sort(sort_order[is_run_end])
-    last_index = {
-        int(b): int(i)
-        for b, i in zip(arr[last_positions].tolist(), last_positions.tolist())
-    }
-    _finish_epoch(state, order, last_index)
+    _finish_epoch(state, order, dict.fromkeys(arr[last_positions].tolist()))
     return levels
 
 

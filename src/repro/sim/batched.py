@@ -6,15 +6,18 @@ stepping one reference at a time through cache/coherence/mesh objects,
 it advances every thread one *epoch* (``epoch_refs`` references) at a
 time:
 
-1. each thread's address stream for the epoch is pulled as a batch
-   (numpy arrays when available — see
-   :meth:`repro.workloads.generator.ThreadTrace.take_batch`);
+1. each thread's address stream for the epoch is pulled as a batch of
+   three int64 columns (slices of the generator's own buffer — see
+   :meth:`repro.workloads.generator.ThreadTrace.take_batch`; the
+   pure-Python path works on lists);
 2. references are classified against a stack-distance model of the
    private L0/L1 (:mod:`repro.sim._batchfold`) — the vectorized hot
    path, since it sees every reference;
 3. the surviving L2-level references are folded through per-set
-   occupancy state per L2 domain, classifying local hits,
-   cross-domain cache-to-cache transfers, and memory fetches;
+   occupancy state per L2 domain, in estimated-issue-time order,
+   classifying local hits, cross-domain cache-to-cache transfers
+   (found through a chip-wide index of which domains hold each block),
+   and memory fetches;
 4. coherence effects of writes (upgrades, invalidations) and queueing
    delays on shared resources (L2 banks, memory channels, mesh links —
    an M/D/1 waiting-time estimate fed by the previous epoch's arrival
@@ -71,6 +74,13 @@ DEFAULT_EPOCH_REFS = 1024
 
 _LEVELS = len(HitLevel)
 
+# plain-int hit levels for the L2 fold loop
+_L2 = int(HitLevel.L2)
+_L2_PEER = int(HitLevel.L2_PEER)
+_C2C_CLEAN = int(HitLevel.C2C_CLEAN)
+_C2C_DIRTY = int(HitLevel.C2C_DIRTY)
+_MEMORY = int(HitLevel.MEMORY)
+
 
 class _Line:
     """One resident L2 line (duck-typed for WayQuota victim selectors)."""
@@ -91,13 +101,11 @@ class _DomainState:
     :meth:`repro.caches.partitioning.WayQuota.victim_selector` expects.
     """
 
-    __slots__ = ("domain_id", "sets", "resident", "recent_evictions",
-                 "evict_cap")
+    __slots__ = ("domain_id", "sets", "recent_evictions", "evict_cap")
 
     def __init__(self, domain_id: int, evict_cap: int = 0):
         self.domain_id = domain_id
         self.sets: Dict[int, Dict[int, _Line]] = {}
-        self.resident = 0
         # blocks recently evicted from this L2 (LRU) — the window in
         # which a peer L1 may still hold a line the L2 has dropped
         self.recent_evictions: Dict[int, None] = {}
@@ -192,6 +200,10 @@ class BatchedEngine:
             _DomainState(d, evict_cap=cores_per_domain * self._c1)
             for d in range(self._num_domains)
         ]
+        # block -> bitmask of the domains whose L2 holds it (bit d set
+        # iff the block is in self._domains[d].sets); kept in step with
+        # every fill, eviction and invalidation
+        self._holders: Dict[int, int] = {}
         self._private = {
             t.thread_id: PrivateState(self._c0, self._c1) for t in threads
         }
@@ -258,12 +270,16 @@ class BatchedEngine:
         mem_tiles = config.memory_tiles
         zl = mesh.zero_load_latency
         hops = topo.hops
+        # per (src, dst) tables: the means below visit each pair many times
+        hop_of = [[hops(s, d) if s != d else 0 for d in tiles] for s in tiles]
+        zl_of = {flits: [[zl(s, d, flits) for d in tiles] for s in tiles]
+                 for flits in (ctrl, data)}
 
         def mean(pairs):
             total_lat, total_hops, count = 0.0, 0.0, 0
             for src, dst, flits in pairs:
-                total_lat += zl(src, dst, flits)
-                total_hops += hops(src, dst) if src != dst else 0
+                total_lat += zl_of[flits][src][dst]
+                total_hops += hop_of[src][dst]
                 count += 1
             return total_lat / count, total_hops / count
 
@@ -390,22 +406,30 @@ class BatchedEngine:
     # ------------------------------------------------------------------
 
     def _take_batch(self, thread):
-        """One epoch of (blocks, writes, thinks) for ``thread``."""
+        """One epoch of (blocks, writes, thinks) for ``thread``.
+
+        Columns are int64 numpy arrays on the numpy path and lists on
+        the pure-Python path, whatever the reference source returns.
+        """
         refs = thread.references
         take = getattr(refs, "take_batch", None)
         if take is not None:
-            return take(self.epoch_refs)
-        rows = []
-        for _ in range(self.epoch_refs):
-            ref = next(refs, None)
-            if ref is None:
-                raise SimulationError(
-                    f"thread {thread.thread_id} reference stream ended; "
-                    "workload generators must be infinite"
-                )
-            rows.append(ref)
-        blocks, writes, thinks = zip(*rows)
-        return list(blocks), list(writes), list(thinks)
+            columns = take(self.epoch_refs)
+        else:
+            rows = []
+            for _ in range(self.epoch_refs):
+                ref = next(refs, None)
+                if ref is None:
+                    raise SimulationError(
+                        f"thread {thread.thread_id} reference stream "
+                        "ended; workload generators must be infinite"
+                    )
+                rows.append(ref)
+            columns = zip(*rows)
+        if self.use_numpy:
+            return tuple(_np.asarray(c, dtype=_np.int64) for c in columns)
+        return tuple(c.tolist() if hasattr(c, "tolist") else list(c)
+                     for c in columns)
 
     # ------------------------------------------------------------------
     # the epoch loop
@@ -510,68 +534,116 @@ class BatchedEngine:
         memory-latency penalty, like the reference path).
 
         Events within a domain are merged by *estimated issue time*
-        ``clock[tid] + (i + 1) * rate[tid]``, not by reference index.
-        The distinction matters for pipelined-scan workloads: the
-        thread leading the scan pays compulsory misses, slows down in
-        wall-clock, and in the reference engine the trailing threads
-        then overtake the scan front and share the miss load.  An
-        index-ordered merge pins every compulsory miss on the static
-        leader forever; the time-weighted merge reproduces the
-        reference's load-balancing feedback at epoch granularity.
+        ``clock[tid] + (i + 1) * rate[tid]``, not by reference index
+        (ties by index, then thread).  The distinction matters for
+        pipelined-scan workloads: the thread leading the scan pays
+        compulsory misses, slows down in wall-clock, and in the
+        reference engine the trailing threads then overtake the scan
+        front and share the miss load.  An index-ordered merge pins
+        every compulsory miss on the static leader forever; the
+        time-weighted merge reproduces the reference's load-balancing
+        feedback at epoch granularity.
         """
         tap = getattr(self.machine, "l2_tap", None)
+        # domain -> [(thread, indices of its L2-level references)]
         by_domain: Dict[int, List] = {}
         for t in threads:
             lv = levels[t.thread_id]
             if self.use_numpy:
-                idxs = _np.nonzero(lv == 2)[0].tolist()
+                idxs = _np.flatnonzero(lv == 2)
             else:
                 idxs = [i for i, v in enumerate(lv) if v == 2]
-            if not idxs:
-                continue
-            domain = self._domain_of_core[t.core_id]
-            blocks, writes, _thinks = batches[t.thread_id]
-            tid = t.thread_id
-            clock = clocks[tid]
-            rate = self._rates[tid]
-            events = by_domain.setdefault(domain, [])
-            for i in idxs:
-                events.append((clock + (i + 1) * rate, i, tid, t.vm_id,
-                               int(blocks[i]), bool(writes[i])))
+            if len(idxs):
+                by_domain.setdefault(
+                    self._domain_of_core[t.core_id], []).append((t, idxs))
 
         dir_penalties: Dict[int, List[int]] = {}
+        fold = (self._fold_domain_np if self.use_numpy
+                else self._fold_domain_py)
         for domain_id in sorted(by_domain):
-            events = by_domain[domain_id]
-            events.sort()
-            self._fold_domain(domain_id, events, levels, tap, dir_penalties)
+            fold(domain_id, by_domain[domain_id], batches, levels, clocks,
+                 tap, dir_penalties)
         for idxs in dir_penalties.values():
             idxs.sort()
         return dir_penalties
 
-    def _dir_access(self, block: int) -> bool:
-        """Directory-cache lookup at the block's home tile (LRU)."""
-        cache = self._dircache[block % self._dir_tiles]
-        if block in cache:
-            del cache[block]
-            cache[block] = None
-            self.dir_hits += 1
-            return True
-        cache[block] = None
-        if len(cache) > self._dir_capacity:
-            del cache[next(iter(cache))]
-        self.dir_misses += 1
-        return False
+    def _fold_domain_np(self, domain_id, parts, batches, levels, clocks,
+                        tap, dir_penalties) -> None:
+        """Merge one domain's events with numpy, fold, write back."""
+        idx = _np.concatenate([i for _t, i in parts])
+        est = _np.concatenate([
+            clocks[t.thread_id] + (i + 1) * self._rates[t.thread_id]
+            for t, i in parts
+        ])
+        tids = _np.concatenate([_np.full(len(i), t.thread_id)
+                                for t, i in parts])
+        vms = _np.concatenate([_np.full(len(i), t.vm_id) for t, i in parts])
+        blocks = _np.concatenate([batches[t.thread_id][0][i]
+                                  for t, i in parts])
+        writes = _np.concatenate([batches[t.thread_id][1][i] != 0
+                                  for t, i in parts])
+        order = _np.lexsort((tids, idx, est))
+        merged = self._fold_domain(
+            domain_id, idx[order].tolist(), tids[order].tolist(),
+            vms[order].tolist(), blocks[order].tolist(),
+            writes[order].tolist(), tap, dir_penalties,
+        )
+        out = _np.empty(len(order), dtype=_np.int64)
+        out[order] = merged
+        start = 0
+        for t, i in parts:
+            end = start + len(i)
+            levels[t.thread_id][i] = out[start:end]
+            start = end
 
-    def _fold_domain(self, domain_id, events, levels, tap,
-                     dir_penalties) -> None:
+    def _fold_domain_py(self, domain_id, parts, batches, levels, clocks,
+                        tap, dir_penalties) -> None:
+        """The same merge, fold and write-back on plain lists."""
+        events = []
+        for t, idxs in parts:
+            tid = t.thread_id
+            blocks, writes, _thinks = batches[tid]
+            clock = clocks[tid]
+            rate = self._rates[tid]
+            events.extend(
+                (clock + (i + 1) * rate, i, tid, t.vm_id, blocks[i],
+                 bool(writes[i]))
+                for i in idxs
+            )
+        events.sort()
+        _est, idx, tids, vms, blocks, writes = zip(*events)
+        merged = self._fold_domain(domain_id, idx, tids, vms, blocks,
+                                   writes, tap, dir_penalties)
+        for i, tid, level in zip(idx, tids, merged):
+            levels[tid][i] = level
+
+    def _fold_domain(self, domain_id, idxs, tids, vms, blocks, writes,
+                     tap, dir_penalties) -> List[int]:
+        """Replay one domain's merged L2 events in order.
+
+        The events stay sequential: the recent-evictions window is an
+        LRU over the whole domain and each directory cache an LRU over
+        all domains, so regrouping them (say, by set) would change
+        results.  Returns the hit level of each event.
+        """
         state = self._domains[domain_id]
         sets = state.sets
+        recent = state.recent_evictions
+        domains = self._domains
+        holders = self._holders
+        bit = 1 << domain_id
         mask = self._set_mask
         assoc = self._assoc
         quota = getattr(self.machine.domains[domain_id], "quota", None)
-        others = [d for d in self._domains if d.domain_id != domain_id]
         siblings = self._domain_threads.get(domain_id, ())
-        for _est, i, tid, vm_id, block, write in events:
+        dircache = self._dircache
+        dir_tiles = self._dir_tiles
+        dir_capacity = self._dir_capacity
+        dir_hits = dir_misses = peer = clean = dirty = fetches = 0
+        out = []
+        emit = out.append
+        for i, tid, vm_id, block, write in zip(idxs, tids, vms, blocks,
+                                               writes):
             if tap is not None:
                 tap(domain_id, vm_id, block)
             set_id = block & mask
@@ -583,43 +655,67 @@ class BatchedEngine:
                 # hit: refresh recency (move to MRU position)
                 del cache_set[block]
                 cache_set[block] = line
-                level = HitLevel.L2
-            else:
-                level = self._classify_miss(state, siblings, tid, others,
-                                            set_id, block)
-                if level != HitLevel.L2_PEER and not self._dir_access(block):
+                emit(_L2)
+                continue
+            level = _MEMORY
+            if block in recent:
+                # the L2 dropped the line recently; a sibling L1 may
+                # still hold it (the reference's intra-domain window)
+                for peer_tid, peer_state in siblings:
+                    if peer_tid != tid and block in peer_state.resident:
+                        level = _L2_PEER
+                        peer += 1
+                        break
+            if level != _L2_PEER:
+                held = holders.get(block, 0)
+                if held:
+                    # the lowest-numbered other domain holding the block
+                    # provides it
+                    provider = domains[(held & -held).bit_length() - 1]
+                    if provider.sets[set_id][block].dirty:
+                        level = _C2C_DIRTY
+                        dirty += 1
+                    else:
+                        level = _C2C_CLEAN
+                        clean += 1
+                else:
+                    fetches += 1
+                # directory-cache lookup at the block's home tile (LRU)
+                dir_cache = dircache[block % dir_tiles]
+                if block in dir_cache:
+                    del dir_cache[block]
+                    dir_cache[block] = None
+                    dir_hits += 1
+                else:
+                    dir_cache[block] = None
+                    if len(dir_cache) > dir_capacity:
+                        del dir_cache[next(iter(dir_cache))]
+                    dir_misses += 1
                     dir_penalties.setdefault(tid, []).append(i)
-                if len(cache_set) >= assoc:
-                    self._evict(state, cache_set, vm_id, quota)
-                # a write miss fills the line exclusive: ownership is
-                # part of the fetch, so reconciliation must not charge
-                # a separate upgrade for it
-                cache_set[block] = _Line(vm_id, write)
-                state.recent_evictions.pop(block, None)
-                state.resident += 1
-            levels[tid][i] = int(level)
+            if len(cache_set) >= assoc:
+                self._evict(state, cache_set, vm_id, quota)
+            # a write miss fills the line exclusive: ownership is part
+            # of the fetch, so reconciliation must not charge a
+            # separate upgrade for it
+            cache_set[block] = _Line(vm_id, write)
+            holders[block] = holders.get(block, 0) | bit
+            recent.pop(block, None)
+            emit(level)
+        self.dir_hits += dir_hits
+        self.dir_misses += dir_misses
+        self.intra_domain_transfers += peer
+        self.c2c_clean += clean
+        self.c2c_dirty += dirty
+        self.memory_fetches += fetches
+        return out
 
-    def _classify_miss(self, state, siblings, tid, others, set_id,
-                       block) -> HitLevel:
-        if block in state.recent_evictions:
-            # the L2 dropped the line recently; a sibling L1 may still
-            # hold it (the reference's intra-domain transfer window)
-            for peer_tid, peer_state in siblings:
-                if peer_tid != tid and block in peer_state.resident:
-                    self.intra_domain_transfers += 1
-                    return HitLevel.L2_PEER
-        for other in others:
-            other_set = other.sets.get(set_id)
-            if other_set is not None:
-                line = other_set.get(block)
-                if line is not None:
-                    if line.dirty:
-                        self.c2c_dirty += 1
-                        return HitLevel.C2C_DIRTY
-                    self.c2c_clean += 1
-                    return HitLevel.C2C_CLEAN
-        self.memory_fetches += 1
-        return HitLevel.MEMORY
+    def _drop_holder(self, block: int, domain_id: int) -> None:
+        """Clear ``domain_id``'s bit in the holder index for ``block``."""
+        held = self._holders[block] & ~(1 << domain_id)
+        if held:
+            self._holders[block] = held
+        else:
+            del self._holders[block]
 
     def _evict(self, state, cache_set, vm_id, quota) -> None:
         victim = None
@@ -628,6 +724,7 @@ class BatchedEngine:
         if victim is None:
             victim = next(iter(cache_set))  # LRU
         line = cache_set.pop(victim)
+        self._drop_holder(victim, state.domain_id)
         if line.dirty:
             self.writebacks += 1
         recent = state.recent_evictions
@@ -654,46 +751,52 @@ class BatchedEngine:
         written: Dict[int, Dict[int, tuple]] = {}
         for t in threads:
             blocks, writes, _thinks = batches[t.thread_id]
-            domain = self._domain_of_core[t.core_id]
-            dom_written = written.setdefault(domain, {})
+            dom_written = written.setdefault(
+                self._domain_of_core[t.core_id], {})
             tid = t.thread_id
             clock = clocks[tid]
             rate = self._rates[tid]
-            if self.use_numpy and not isinstance(writes, list):
-                idxs = _np.nonzero(_np.asarray(writes) != 0)[0].tolist()
+            if self.use_numpy:
+                idxs = _np.flatnonzero(writes)
+                ests = (clock + (idxs + 1) * rate).tolist()
+                firsts = zip(ests, blocks[idxs].tolist())
             else:
-                idxs = [i for i, w in enumerate(writes) if w]
-            for i in idxs:
-                block = int(blocks[i])
-                est = (clock + (i + 1) * rate, tid)
+                firsts = ((clock + (i + 1) * rate, blocks[i])
+                          for i, w in enumerate(writes) if w)
+            for est, block in firsts:
+                key = (est, tid)
                 prev = dom_written.get(block)
-                if prev is None or est < prev:
-                    dom_written[block] = est
+                if prev is None or key < prev:
+                    dom_written[block] = key
 
         upgrades_by_thread: Dict[int, int] = {}
+        holders = self._holders
+        domains = self._domains
         for domain_id in sorted(written):
-            state = self._domains[domain_id]
-            others = [d for d in self._domains if d.domain_id != domain_id]
+            sets = domains[domain_id].sets
+            bit = 1 << domain_id
             for block, (_est, tid) in written[domain_id].items():
-                set_id = block & mask
-                cache_set = state.sets.get(set_id)
-                line = cache_set.get(block) if cache_set is not None else None
-                if line is None:
+                held = holders.get(block, 0)
+                if not held & bit:
                     continue  # written block no longer L2-resident
+                set_id = block & mask
+                line = sets[set_id][block]
                 if not line.dirty:
                     line.dirty = True
                     self.upgrades += 1
                     upgrades_by_thread[tid] = (
                         upgrades_by_thread.get(tid, 0) + 1
                     )
-                for other in others:
-                    other_set = other.sets.get(set_id)
-                    if other_set is not None:
-                        victim = other_set.pop(block, None)
-                        if victim is not None:
-                            self.invalidations += 1
-                            if victim.dirty:
-                                self.writebacks += 1
+                others = held & ~bit
+                while others:
+                    low = others & -others
+                    others ^= low
+                    other_id = low.bit_length() - 1
+                    victim = domains[other_id].sets[set_id].pop(block)
+                    self._drop_holder(block, other_id)
+                    self.invalidations += 1
+                    if victim.dirty:
+                        self.writebacks += 1
         return upgrades_by_thread
 
     # ------------------------------------------------------------------
@@ -861,7 +964,7 @@ class BatchedEngine:
 
     def _level_counts(self, lv):
         counts = [0] * _LEVELS
-        if self.use_numpy and not isinstance(lv, list):
+        if self.use_numpy:
             binned = _np.bincount(lv, minlength=_LEVELS)
             for level in range(_LEVELS):
                 counts[level] = int(binned[level])
@@ -871,12 +974,12 @@ class BatchedEngine:
         return counts
 
     def _total(self, values):
-        if self.use_numpy and not isinstance(values, (list, tuple)):
+        if self.use_numpy:
             return float(_np.sum(values))
         return float(sum(values))
 
     def _lat_sum(self, lv, lat, a, b):
-        if self.use_numpy and not isinstance(lv, list):
+        if self.use_numpy:
             table = _np.asarray(lat, dtype=_np.float64)
             return float(table[lv[a:b]].sum())
         return float(sum(lat[v] for v in lv[a:b]))

@@ -3,7 +3,10 @@
 :class:`ThreadTrace` turns a :class:`~repro.workloads.profile.WorkloadProfile`
 into an infinite, deterministic stream of ``(block, is_write, think)``
 tuples for one thread.  Generation is vectorized in batches so the
-generator never becomes the simulation bottleneck.
+generator never becomes the simulation bottleneck.  Each batch is kept
+as three numpy columns: :meth:`ThreadTrace.take_batch` hands out
+column slices, and iteration turns the columns into tuples only when
+it reaches them.
 
 The pipelined-scan model of the shared-read pool (see the profile
 module docstring) is implemented here: thread ``t`` samples uniformly
@@ -25,6 +28,17 @@ from .profile import WorkloadProfile
 __all__ = ["ThreadTrace", "WorkloadInstance"]
 
 Ref = Tuple[int, int, int]
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_NO_COLUMNS: Columns = (np.empty(0, dtype=np.int64),) * 3
+
+
+def _rows(blocks: np.ndarray, writes: np.ndarray,
+          thinks: np.ndarray) -> List[Ref]:
+    """Columns as reversed tuple rows (``pop()`` yields stream order)."""
+    rows = list(zip(blocks.tolist(), writes.tolist(), thinks.tolist()))
+    rows.reverse()
+    return rows
 
 
 class ThreadTrace:
@@ -89,7 +103,13 @@ class ThreadTrace:
         self._scan_start = lead % self._shared_size if self._shared_size else 0
 
         self._count = 0  # total references generated (drives the scan)
+        # The unconsumed stream is the iterator's row buffer (reversed,
+        # so pop() yields stream order) followed by the generated
+        # columns from index ``_pos`` on.  Rows are only ever made from
+        # all of the remaining columns, so at most one part is non-empty.
         self._pending: List[Ref] = []
+        self._cols: Columns = _NO_COLUMNS
+        self._pos = 0
         self._phases = tuple(phases) if phases else ()
         self._phase_profiles = tuple(
             phase.apply_to(profile) for phase in self._phases
@@ -107,7 +127,10 @@ class ThreadTrace:
 
     def __next__(self) -> Ref:
         if not self._pending:
-            self._refill()
+            if self._pos == len(self._cols[0]):
+                self._refill()
+            self._pending = _rows(*(c[self._pos:] for c in self._cols))
+            self._cols, self._pos = _NO_COLUMNS, 0
         ref = self._pending.pop()
         scale = self._load_scale
         if scale != 1.0:
@@ -119,33 +142,43 @@ class ThreadTrace:
         for block, access, think in self:
             yield MemoryReference(block, access, think)
 
-    def take_batch(self, n: int) -> Tuple[List[int], List[int], List[int]]:
+    def take_batch(self, n: int) -> Columns:
         """Consume the next ``n`` references as three parallel columns.
 
-        Returns ``(blocks, writes, thinks)`` covering *exactly* the same
-        references, in the same order, as ``n`` calls to ``__next__`` —
-        the batched engine's bulk entry point.  Mixing ``take_batch``
-        and iteration is safe: any references already buffered for the
-        iterator are consumed first.
+        Returns ``(blocks, writes, thinks)``, int64 numpy arrays
+        covering *exactly* the same references, in the same order, as
+        ``n`` calls to ``__next__`` — the batched engine's bulk entry
+        point.  A batch inside one generated chunk is a set of slices
+        of it, not a copy.  Mixing ``take_batch`` and iteration is
+        safe: any references already buffered for the iterator are
+        consumed first.
         """
         if n <= 0:
             raise WorkloadError("take_batch size must be positive")
-        rows: List[Ref] = []
-        while len(rows) < n:
-            if not self._pending:
-                self._refill()
-            take = min(n - len(rows), len(self._pending))
-            # _pending is stored reversed (pop() from the end yields
-            # generation order), so the next `take` refs are the tail.
+        parts: List[Columns] = []
+        if self._pending:
+            # _pending is stored reversed, so the next refs are the tail
+            take = min(n, len(self._pending))
             chunk = self._pending[-take:]
             del self._pending[-take:]
             chunk.reverse()
-            rows.extend(chunk)
-        blocks, writes, thinks = zip(*rows)
+            parts.append(tuple(np.array(chunk, dtype=np.int64).T))
+            n -= take
+        while n:
+            if self._pos == len(self._cols[0]):
+                self._refill()
+            start = self._pos
+            self._pos = end = min(start + n, len(self._cols[0]))
+            parts.append(tuple(c[start:end] for c in self._cols))
+            n -= end - start
+        if len(parts) == 1:
+            blocks, writes, thinks = parts[0]
+        else:
+            blocks, writes, thinks = (np.concatenate(c) for c in zip(*parts))
         scale = self._load_scale
         if scale != 1.0:
-            thinks = [int(t * scale) for t in thinks]
-        return list(blocks), list(writes), list(thinks)
+            thinks = (thinks * scale).astype(np.int64)
+        return blocks, writes, thinks
 
     # ------------------------------------------------------------------
     # scenario actuation (see repro.scenarios.hook)
@@ -189,7 +222,8 @@ class ThreadTrace:
         self._phase_profiles = tuple(
             phase.apply_to(variant) for phase in self._phases
         )
-        self._pending.clear()
+        self._pending = []
+        self._cols, self._pos = _NO_COLUMNS, 0
 
     # ------------------------------------------------------------------
 
@@ -263,9 +297,8 @@ class ThreadTrace:
             thinks = np.zeros(n, dtype=np.int64)
 
         self._count += n
-        batch = list(zip(blocks.tolist(), writes.tolist(), thinks.tolist()))
-        batch.reverse()  # pop() then yields in generation order
-        self._pending = batch
+        self._cols = (blocks, writes, thinks)
+        self._pos = 0
 
     @staticmethod
     def _sample_powerlaw(
@@ -285,7 +318,8 @@ class ThreadTrace:
             "base_block": self.base_block,
             "batch_size": self.batch_size,
             "count": self._count,
-            "pending": list(self._pending),
+            "pending": (_rows(*(c[self._pos:] for c in self._cols))
+                        + self._pending),
             "rng_state": self._rng.bit_generator.state,
             "load_scale": self._load_scale,
         }
@@ -304,7 +338,12 @@ class ThreadTrace:
             )
         self.batch_size = state["batch_size"]
         self._count = state["count"]
-        self._pending = [tuple(ref) for ref in state["pending"]]
+        pending = state["pending"]
+        self._pending = []
+        self._cols = (tuple(np.array(pending[::-1], dtype=np.int64)
+                            .reshape(-1, 3).T.copy())
+                      if pending else _NO_COLUMNS)
+        self._pos = 0
         self._rng.bit_generator.state = state["rng_state"]
         self._load_scale = float(state.get("load_scale", 1.0))
 

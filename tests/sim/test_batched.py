@@ -1,5 +1,7 @@
 """Unit tests for the batched (epoch-folded) engine."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,52 @@ class TestTakeBatch:
 
         with pytest.raises(WorkloadError):
             self._trace().take_batch(0)
+
+    def test_returns_int64_columns(self):
+        columns = self._trace().take_batch(100)
+        for column in columns:
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.int64
+            assert column.shape == (100,)
+
+    def test_matches_scaled_iterator_stream(self):
+        a, b = self._trace(), self._trace()
+        a.set_load_scale(0.5)
+        b.set_load_scale(0.5)
+        expected = [next(a) for _ in range(300)]
+        blocks, writes, thinks = b.take_batch(300)
+        assert list(zip(blocks, writes, thinks)) == expected
+        assert any(t for _, _, t in expected)  # the scale had work
+
+    def test_straddles_retarget(self):
+        a, b = self._trace(), self._trace()
+        expected = [next(a) for _ in range(100)]
+        a.retarget(p_hot=0.05, write_prob_private=0.5)
+        expected += [next(a) for _ in range(200)]
+        got = list(zip(*b.take_batch(100)))
+        # the retarget drops the 28 refs left of the second 64-ref chunk
+        b.retarget(p_hot=0.05, write_prob_private=0.5)
+        got += list(zip(*b.take_batch(200)))
+        assert got == expected
+
+    def test_restore_mid_batch_continues_stream(self):
+        whole = self._trace()
+        expected = [next(whole) for _ in range(400)]
+        b = self._trace()
+        head = list(zip(*b.take_batch(100)))
+        state = json.loads(json.dumps(b.state()))
+        # the checkpoint format is the iterator's: the same state as a
+        # trace that consumed the same refs one at a time
+        c = self._trace()
+        for _ in range(100):
+            next(c)
+        assert state == json.loads(json.dumps(c.state()))
+        assert len(state["pending"]) == 28
+        restored = self._trace(seed=99)
+        restored.restore(state)
+        tail = list(zip(*restored.take_batch(250)))
+        tail += [next(restored) for _ in range(50)]
+        assert head + tail == expected
 
 
 class TestConstruction:
@@ -102,6 +150,52 @@ class TestFallbackIdentity:
         slow = run_experiment(spec, use_cache=False)
         assert fast.vm_metrics == slow.vm_metrics
         assert fast.chip_summary == slow.chip_summary
+
+
+class TestHolderIndex:
+    """The chip-wide block -> holding-domains bitmask must equal the one
+    recomputed from every domain's sets at every epoch boundary."""
+
+    CASES = {
+        "private": dict(mix="mixC", sharing="private"),
+        "shared-4": dict(mix="mix1", sharing="shared-4"),
+        "shared-4-random": dict(mix="mix1", sharing="shared-4",
+                                policy="random"),
+        "ucp-random": dict(mix="mix7", sharing="shared-4", policy="random",
+                           qos_policy="ucp", qos_epoch=5000),
+    }
+
+    @staticmethod
+    def _recomputed(engine):
+        holders = {}
+        for state in engine._domains:
+            for cache_set in state.sets.values():
+                for block in cache_set:
+                    holders[block] = (holders.get(block, 0)
+                                      | 1 << state.domain_id)
+        return holders
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_index_matches_sets_every_epoch(self, monkeypatch, case):
+        reconcile = BatchedEngine._reconcile_writes
+        seen = []
+
+        def checked(engine, *args):
+            out = reconcile(engine, *args)
+            assert engine._holders == self._recomputed(engine)
+            seen.append(engine.invalidations)
+            return out
+
+        monkeypatch.setattr(BatchedEngine, "_reconcile_writes", checked)
+        spec = _spec(measured_refs=2000, warmup_refs=1000,
+                     **self.CASES[case])
+        result = run_experiment(spec, use_cache=False)
+        assert len(seen) >= 3
+        if case.endswith("random") or case == "private":
+            # writes invalidated copies held by other domains
+            assert seen[-1] > 0
+        if case.startswith("ucp"):
+            assert result.qos["quota_adjustments"] > 0
 
 
 class TestBatchedRun:
