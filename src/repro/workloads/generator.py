@@ -33,14 +33,6 @@ Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 _NO_COLUMNS: Columns = (np.empty(0, dtype=np.int64),) * 3
 
 
-def _rows(blocks: np.ndarray, writes: np.ndarray,
-          thinks: np.ndarray) -> List[Ref]:
-    """Columns as reversed tuple rows (``pop()`` yields stream order)."""
-    rows = list(zip(blocks.tolist(), writes.tolist(), thinks.tolist()))
-    rows.reverse()
-    return rows
-
-
 class ThreadTrace:
     """Infinite reference stream of one workload thread.
 
@@ -129,13 +121,21 @@ class ThreadTrace:
         if not self._pending:
             if self._pos == len(self._cols[0]):
                 self._refill()
-            self._pending = _rows(*(c[self._pos:] for c in self._cols))
+            self._pending = self._column_rows()
             self._cols, self._pos = _NO_COLUMNS, 0
         ref = self._pending.pop()
         scale = self._load_scale
         if scale != 1.0:
             return (ref[0], ref[1], int(ref[2] * scale))
         return ref
+
+    def _column_rows(self) -> List[Ref]:
+        """The unconsumed columns as reversed tuple rows (``pop()``
+        yields stream order)."""
+        blocks, writes, thinks = (c[self._pos:].tolist() for c in self._cols)
+        rows = list(zip(blocks, writes, thinks))
+        rows.reverse()
+        return rows
 
     def references(self) -> Iterator[MemoryReference]:
         """The same stream as typed :class:`MemoryReference` records."""
@@ -318,8 +318,7 @@ class ThreadTrace:
             "base_block": self.base_block,
             "batch_size": self.batch_size,
             "count": self._count,
-            "pending": (_rows(*(c[self._pos:] for c in self._cols))
-                        + self._pending),
+            "pending": self._column_rows() + self._pending,
             "rng_state": self._rng.bit_generator.state,
             "load_scale": self._load_scale,
         }
@@ -338,12 +337,11 @@ class ThreadTrace:
             )
         self.batch_size = state["batch_size"]
         self._count = state["count"]
-        pending = state["pending"]
-        self._pending = []
-        self._cols = (tuple(np.array(pending[::-1], dtype=np.int64)
-                            .reshape(-1, 3).T.copy())
-                      if pending else _NO_COLUMNS)
+        # rebuild the columns the buffered rows were cut from
+        rows = np.array(state["pending"][::-1], dtype=np.int64)
+        self._cols = tuple(rows.reshape(-1, 3).T.copy())
         self._pos = 0
+        self._pending = []
         self._rng.bit_generator.state = state["rng_state"]
         self._load_scale = float(state.get("load_scale", 1.0))
 
