@@ -11,11 +11,24 @@ four run shapes of the reference engine —
   threads at its control epoch;
 * ``churn``: a ``vm_schedule`` with staggered arrivals and departures.
 
+The extra cells add heterogeneous chips, scenario and QoS control, and
+the cache and coherence paths the default ``shared-4`` sharing never
+reaches: FIFO and random L2 replacement, directory-cache evictions,
+``private`` and fully ``shared`` L2s, way-quota victims, and random
+thread placement (cross-domain transfers and invalidation fan-out).
+Cells that need L2 evictions shrink the caches with ``scale``.
+
 A digest covers ``final_time``, each VM's cycles, references, L1 and
 L2 misses, and the chip summary.  A pin that moves means simulated
 behaviour changed; re-record only for an intended behaviour change
 (``python tests/sim/test_engine_pins.py`` prints the current table)
 and say why in the change log.
+
+Every pinned cell also asserts the accounting laws the reference engine
+keeps (:func:`check_accounting`): per thread, latency is the sum of its
+cache, network, directory and memory cycles, and ``refs = reads +
+writes = sum of level counts``; the run's ``final_time`` is the latest
+VM completion time.
 """
 
 import hashlib
@@ -24,6 +37,7 @@ from dataclasses import asdict
 
 import pytest
 
+import repro.core.experiment as experiment_mod
 from repro.core.experiment import ExperimentSpec, run_experiment
 
 MIXES = ("mix1", "mix2", "mix3", "mix4", "mix5", "mix6", "mix7", "mix8",
@@ -54,6 +68,14 @@ EXTRA_CELLS = {
     "scenario-overcommit": dict(mix="scn-diurnal-web",
                                 scenario="diurnal-web", slots_per_core=2,
                                 sched_policy="adaptive"),
+    "l2-fifo": dict(mix="mix1", l2_replacement="fifo", scale=1 / 512),
+    "l2-random": dict(mix="mix1", l2_replacement="random", scale=1 / 512),
+    "dir-cache-small": dict(mix="mix5", dir_cache_entries=64),
+    "private": dict(mix="mix2", sharing="private", scale=1 / 128),
+    "shared": dict(mix="mix3", sharing="shared", scale=1 / 512),
+    "vm-quota": dict(mix="mix7", sharing="shared", l2_vm_quota=True,
+                     scale=1 / 512),
+    "random-placement": dict(mix="mix1", policy="random", scale=1 / 128),
 }
 
 _RUN = dict(measured_refs=200, warmup_refs=100, seed=1)
@@ -116,6 +138,13 @@ PINS = {
     "qos-sched-overcommit": "4933b78e5a4721eb",
     "scenario-arrivals": "4f59e1ea6dfd64e7",
     "scenario-overcommit": "6bf15bab5f0f5239",
+    "l2-fifo": "6feb4066c7dd29cd",
+    "l2-random": "2aabad8f52a958b2",
+    "dir-cache-small": "fd2c9d48b1f18abb",
+    "private": "a3ab799d24f4fc4e",
+    "shared": "c00ffe5bf4e20aa8",
+    "vm-quota": "e027b1e6a5d40f02",
+    "random-placement": "1a1a5c7dd14c2d71",
 }
 
 
@@ -130,16 +159,54 @@ def digest(result) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def check_accounting(result, engine_result) -> None:
+    """Assert the reference engine's accounting laws on one run."""
+    for tid, stats in engine_result.thread_stats.items():
+        parts = (stats.cache_cycles + stats.network_cycles
+                 + stats.directory_cycles + stats.memory_cycles)
+        assert stats.latency_cycles == parts, f"thread {tid} latency"
+        assert stats.refs == stats.reads + stats.writes, f"thread {tid}"
+        assert stats.refs == sum(stats.level_counts.values()), \
+            f"thread {tid} level counts"
+    completion = max(engine_result.vm_completion_times.values())
+    assert engine_result.final_time == completion
+    assert result.final_time == completion
+
+
+def run_checked(spec: ExperimentSpec):
+    """Run ``spec`` uncached and check its accounting laws."""
+    engine_results = []
+    make_engine = experiment_mod.make_engine
+
+    def recording_make_engine(request, mode):
+        engine = make_engine(request, mode=mode)
+        run = engine.run
+
+        def recorded_run():
+            engine_results.append(run())
+            return engine_results[-1]
+
+        engine.run = recorded_run
+        return engine
+
+    experiment_mod.make_engine = recording_make_engine
+    try:
+        result = run_experiment(spec, use_cache=False)
+    finally:
+        experiment_mod.make_engine = make_engine
+    assert len(engine_results) == 1
+    check_accounting(result, engine_results[0])
+    return result
+
+
 def run_pinned(mix: str, shape: str):
-    spec = ExperimentSpec(mix=mix, engine_mode="reference",
-                          **_RUN, **SHAPES[shape])
-    return run_experiment(spec, use_cache=False)
+    return run_checked(ExperimentSpec(mix=mix, engine_mode="reference",
+                                      **_RUN, **SHAPES[shape]))
 
 
 def run_extra(cell: str):
-    spec = ExperimentSpec(engine_mode="reference", **_RUN,
-                          **EXTRA_CELLS[cell])
-    return run_experiment(spec, use_cache=False)
+    return run_checked(ExperimentSpec(engine_mode="reference", **_RUN,
+                                      **EXTRA_CELLS[cell]))
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
