@@ -195,30 +195,31 @@ class L2Domain:
 
     def fill(
         self, block: int, dirty: bool, vm_id: int, requester_slot: int
-    ) -> List[Tuple[int, bool]]:
+    ) -> Tuple[Tuple[int, bool], ...]:
         """Install a block brought in from outside the domain.
 
-        Returns the list of ``(victim_block, victim_was_dirty)`` evicted
-        to make room.  Victims are back-invalidated from member private
-        caches to preserve inclusion; a dirty private copy makes the
-        victim dirty regardless of the L2 line's own state.
+        Returns the ``(victim_block, victim_was_dirty)`` pairs evicted
+        to make room: ``()`` or one pair.  Victims are back-invalidated
+        from member private caches to preserve inclusion; a dirty
+        private copy makes the victim dirty regardless of the L2 line's
+        own state.
         """
-        line = L2Line(dirty=dirty, vm_id=vm_id)
-        line.add_sharer(requester_slot)
+        line = L2Line(dirty, vm_id)
+        line.l1_mask = 1 << requester_slot
         if dirty:
             line.l1_owner = requester_slot
-        selector = (
-            self.quota.victim_selector(vm_id) if self.quota is not None else None
-        )
-        evicted = self.cache.insert(block, line, victim_selector=selector)
+        quota = self.quota
+        evicted = self.cache.insert(
+            block, line,
+            None if quota is None else quota.victim_selector(vm_id))
         if evicted is None:
-            return []
+            return ()
         victim, victim_line = evicted
         victim_dirty = self._back_invalidate(victim, victim_line)
         if victim_dirty:
             self.dirty_writebacks += 1
             self.writebacks_to_memory.append(victim)
-        return [(victim, victim_dirty)]
+        return ((victim, victim_dirty),)
 
     def invalidate(self, block: int) -> bool:
         """Remove the block (directory-initiated); True if dirty anywhere."""

@@ -3,8 +3,8 @@
 The array stores arbitrary per-line values: :class:`repro.caches.line.L2Line`
 objects in the shared L2, a plain ``bool`` dirty flag in the private
 L0/L1.  Sets are backed by insertion-ordered dicts: hit promotion (for
-LRU) deletes and re-inserts the key, victim selection delegates to the
-replacement policy.  All operations are O(1) for LRU and FIFO.
+LRU) deletes and re-inserts the key; the victim is the head of the set
+for LRU and FIFO and the replacement policy's choice otherwise.  All operations are O(1) for LRU and FIFO.
 
 This class is purely *functional* cache state — it knows nothing about
 latency, coherence, or the interconnect.  Timing composition happens in
@@ -16,10 +16,12 @@ from __future__ import annotations
 from typing import Iterator, Optional, Tuple
 
 from .geometry import CacheGeometry
-from .replacement import LruPolicy, ReplacementPolicy
+from .replacement import FifoPolicy, LruPolicy, ReplacementPolicy
 from .stats import CacheStats
 
 __all__ = ["SetAssocCache"]
+
+_HEAD_VICTIM = (LruPolicy.victim, FifoPolicy.victim)
 
 
 class SetAssocCache:
@@ -36,7 +38,7 @@ class SetAssocCache:
     """
 
     __slots__ = ("geometry", "policy", "name", "stats", "_sets", "_set_mask",
-                 "_assoc", "_promotes")
+                 "_assoc", "_promotes", "_head_victim")
 
     def __init__(
         self,
@@ -52,6 +54,9 @@ class SetAssocCache:
         self._set_mask = geometry.num_sets - 1
         self._assoc = geometry.assoc
         self._promotes = self.policy.promotes_on_hit
+        # LRU and FIFO evict the head of the set's order: take it
+        # without a policy call (random and custom policies are called)
+        self._head_victim = type(self.policy).victim in _HEAD_VICTIM
 
     # ------------------------------------------------------------------
     # core operations
@@ -122,7 +127,10 @@ class SetAssocCache:
             if victim_selector is not None:
                 victim = victim_selector(cache_set)
             if victim is None:
-                victim = self.policy.victim(cache_set)
+                if self._head_victim:
+                    victim = next(iter(cache_set))
+                else:
+                    victim = self.policy.victim(cache_set)
             victim_line = cache_set.pop(victim)
             stats.evictions += 1
             if victim_line is True or getattr(victim_line, "dirty", False):

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 from ..caches.geometry import CacheGeometry
 from ..caches.setassoc import SetAssocCache
-from .states import DirState
+from .states import INVALID
 
 __all__ = ["DirectoryEntry", "DirectoryCache", "Directory"]
 
@@ -32,7 +32,7 @@ class DirectoryEntry:
     __slots__ = ("state", "owner", "sharers")
 
     def __init__(self) -> None:
-        self.state = DirState.INVALID
+        self.state = INVALID
         self.owner = -1
         self.sharers = 0
 
@@ -122,6 +122,8 @@ class Directory:
         self.caches = [
             DirectoryCache(tile, entries=dir_cache_entries) for tile in range(num_tiles)
         ]
+        # each home tile's array, for cache_access
+        self._arrays = [cache._cache for cache in self.caches]
 
     def home_tile(self, block: int) -> int:
         """Home tile of a block (striped by physical address)."""
@@ -139,13 +141,21 @@ class Directory:
         return self._entries.get(block)
 
     def cache_access(self, block: int) -> bool:
-        """Directory-cache lookup at the home tile; True on hit."""
-        return self.caches[self.home_tile(block)].access(block)
+        """Directory-cache lookup at the home tile; True on hit.
+
+        Same as ``self.caches[self.home_tile(block)].access(block)``,
+        with the home tile's array indexed directly.
+        """
+        array = self._arrays[block % self.num_tiles]
+        if array.lookup(block) is not None:
+            return True
+        array.insert(block, _DIR_TAG)
+        return False
 
     def forget(self, block: int) -> None:
         """Drop an INVALID entry to bound memory use."""
         entry = self._entries.get(block)
-        if entry is not None and entry.state == DirState.INVALID:
+        if entry is not None and entry.state == INVALID:
             del self._entries[block]
 
     def __len__(self) -> int:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..errors import CoherenceError
 from .directory import Directory, DirectoryEntry
-from .states import DirState
+from .states import INVALID, MODIFIED, OWNED, SHARED
 
 __all__ = ["DataSource", "FetchOutcome", "CoherenceStats", "CoherenceController"]
 
@@ -38,9 +38,11 @@ class DataSource(enum.IntEnum):
     NONE = 3  # upgrade: requester already has current data
 
 
-@dataclass(frozen=True)
-class FetchOutcome:
+class FetchOutcome(NamedTuple):
     """Result of resolving one domain-level miss or upgrade.
+
+    Immutable, so the protocol hands out one shared instance for each
+    invalidation-free memory fetch instead of building one per miss.
 
     Attributes
     ----------
@@ -65,6 +67,15 @@ class FetchOutcome:
     invalidate_domains: tuple = ()
     fill_dirty: bool = False
     memory_writeback: bool = False
+
+
+_MEMORY_READ = FetchOutcome(DataSource.MEMORY)
+_MEMORY_WRITE = FetchOutcome(DataSource.MEMORY, fill_dirty=True)
+_C2C_CLEAN = DataSource.C2C_CLEAN
+_C2C_DIRTY = DataSource.C2C_DIRTY
+_NONE = DataSource.NONE
+#: positional tuple construction, skipping the generated ``__new__``
+_new_outcome = tuple.__new__
 
 
 @dataclass
@@ -103,6 +114,8 @@ class CoherenceController:
         if num_domains <= 0:
             raise CoherenceError("need at least one L2 domain")
         self.directory = directory
+        # the directory's exact backing store, read directly by fetch
+        self._entries = directory._entries
         self.num_domains = num_domains
         self.stats = CoherenceStats()
 
@@ -112,17 +125,72 @@ class CoherenceController:
 
     def fetch(self, block: int, domain: int, is_write: bool) -> FetchOutcome:
         """Resolve a domain miss (the block is absent from ``domain``)."""
-        self._check_domain(domain)
-        entry = self.directory.entry(block)
-        if entry.is_sharer(domain):
+        if not 0 <= domain < self.num_domains:
+            self._check_domain(domain)
+        entry = self._entries.get(block)
+        if entry is None:
+            # directory.entry(block), inline
+            entry = self._entries[block] = DirectoryEntry()
+        elif entry.sharers >> domain & 1:
             raise CoherenceError(
                 f"domain {domain} missed on block {block:#x} but the "
                 f"directory lists it as a sharer ({entry!r}); eviction "
                 "notifications are out of sync"
             )
-        if is_write:
-            return self._fetch_write(block, entry, domain)
-        return self._fetch_read(block, entry, domain)
+        stats = self.stats
+        state = entry.state
+        if not is_write:
+            stats.read_misses += 1
+            if state == INVALID:
+                stats.memory_fetches += 1
+                entry.state = SHARED
+                entry.sharers |= 1 << domain
+                return _MEMORY_READ
+            if state == SHARED:
+                stats.c2c_clean += 1
+                provider = _lowest_sharer(entry.sharers)
+                entry.sharers |= 1 << domain
+                return _new_outcome(
+                    FetchOutcome, (_C2C_CLEAN, provider, (), False, False))
+            # MODIFIED or OWNED: owner forwards dirty data, retains
+            # ownership
+            owner = entry.owner
+            if owner == domain:
+                raise CoherenceError(
+                    f"domain {domain} missed on block {block:#x} it owns"
+                )
+            stats.c2c_dirty += 1
+            entry.state = OWNED
+            entry.sharers |= 1 << domain
+            return _new_outcome(
+                FetchOutcome, (_C2C_DIRTY, owner, (), False, False))
+
+        stats.write_misses += 1
+        if state == INVALID:
+            stats.memory_fetches += 1
+            entry.state = MODIFIED
+            entry.owner = domain
+            entry.sharers = 1 << domain
+            return _MEMORY_WRITE
+        if state == SHARED:
+            victims = tuple(entry.sharer_list())
+            stats.c2c_clean += 1
+            stats.invalidations_sent += len(victims)
+            provider = _lowest_sharer(entry.sharers)
+            source = _C2C_CLEAN
+        else:
+            # MODIFIED or OWNED: steal ownership, invalidate everyone
+            # else
+            provider = entry.owner
+            victims = tuple(d for d in entry.sharer_list() if d != domain)
+            stats.c2c_dirty += 1
+            stats.invalidations_sent += len(victims)
+            source = _C2C_DIRTY
+        entry.state = MODIFIED
+        entry.owner = domain
+        entry.sharers = 1 << domain
+        return _new_outcome(
+            FetchOutcome, (source, provider, victims, True, False))
 
     def upgrade(self, block: int, domain: int) -> FetchOutcome:
         """Resolve a write to a block the domain holds in SHARED state.
@@ -140,82 +208,18 @@ class CoherenceController:
         self.stats.upgrades += 1
         victims = tuple(d for d in entry.sharer_list() if d != domain)
         writeback = False
-        if entry.state.has_owner and entry.owner != domain:
+        if entry.state >= OWNED and entry.owner != domain:
             # another domain owns modified data; its copy (and data)
             # must be folded in — rare path, only via OWNED state
             writeback = True
             self.stats.writebacks += 1
-        entry.state = DirState.MODIFIED
+        entry.state = MODIFIED
         entry.owner = domain
         entry.sharers = 1 << domain
         if victims:
             self.stats.invalidations_sent += len(victims)
-        return FetchOutcome(
-            source=DataSource.NONE,
-            invalidate_domains=victims,
-            fill_dirty=True,
-            memory_writeback=writeback,
-        )
-
-    def _fetch_read(self, block: int, entry: DirectoryEntry, domain: int) -> FetchOutcome:
-        self.stats.read_misses += 1
-        if entry.state == DirState.INVALID:
-            self.stats.memory_fetches += 1
-            entry.state = DirState.SHARED
-            entry.add_sharer(domain)
-            return FetchOutcome(source=DataSource.MEMORY)
-        if entry.state == DirState.SHARED:
-            self.stats.c2c_clean += 1
-            provider = self._closest_sharer(entry, domain)
-            entry.add_sharer(domain)
-            return FetchOutcome(source=DataSource.C2C_CLEAN, provider_domain=provider)
-        # MODIFIED or OWNED: owner forwards dirty data, retains ownership
-        owner = entry.owner
-        if owner == domain:
-            raise CoherenceError(
-                f"domain {domain} missed on block {block:#x} it owns"
-            )
-        self.stats.c2c_dirty += 1
-        entry.state = DirState.OWNED
-        entry.add_sharer(domain)
-        return FetchOutcome(source=DataSource.C2C_DIRTY, provider_domain=owner)
-
-    def _fetch_write(self, block: int, entry: DirectoryEntry, domain: int) -> FetchOutcome:
-        self.stats.write_misses += 1
-        if entry.state == DirState.INVALID:
-            self.stats.memory_fetches += 1
-            entry.state = DirState.MODIFIED
-            entry.owner = domain
-            entry.sharers = 1 << domain
-            return FetchOutcome(source=DataSource.MEMORY, fill_dirty=True)
-        if entry.state == DirState.SHARED:
-            victims = tuple(entry.sharer_list())
-            self.stats.c2c_clean += 1
-            self.stats.invalidations_sent += len(victims)
-            provider = self._closest_sharer(entry, domain)
-            entry.state = DirState.MODIFIED
-            entry.owner = domain
-            entry.sharers = 1 << domain
-            return FetchOutcome(
-                source=DataSource.C2C_CLEAN,
-                provider_domain=provider,
-                invalidate_domains=victims,
-                fill_dirty=True,
-            )
-        # MODIFIED or OWNED: steal ownership, invalidate everyone else
-        owner = entry.owner
-        victims = tuple(d for d in entry.sharer_list() if d != domain)
-        self.stats.c2c_dirty += 1
-        self.stats.invalidations_sent += len(victims)
-        entry.state = DirState.MODIFIED
-        entry.owner = domain
-        entry.sharers = 1 << domain
-        return FetchOutcome(
-            source=DataSource.C2C_DIRTY,
-            provider_domain=owner,
-            invalidate_domains=victims,
-            fill_dirty=True,
-        )
+        return _new_outcome(
+            FetchOutcome, (_NONE, -1, victims, True, writeback))
 
     # ------------------------------------------------------------------
     # eviction notifications (keep directory exact)
@@ -223,38 +227,26 @@ class CoherenceController:
 
     def domain_evicted(self, block: int, domain: int, was_dirty: bool) -> None:
         """A domain dropped its copy (capacity eviction or back-inval)."""
-        self._check_domain(domain)
-        entry = self.directory.peek(block)
-        if entry is None or not entry.is_sharer(domain):
+        if not 0 <= domain < self.num_domains:
+            self._check_domain(domain)
+        directory = self.directory
+        entry = directory.peek(block)
+        if entry is None or not entry.sharers >> domain & 1:
             # Invalidation initiated by the directory itself: the
             # sharer bit is already gone. Nothing to do.
             return
-        entry.drop_sharer(domain)
+        entry.sharers &= ~(1 << domain)
         if entry.owner == domain:
             entry.owner = -1
             if was_dirty:
                 self.stats.writebacks += 1
-            entry.state = DirState.SHARED if entry.sharers else DirState.INVALID
+            entry.state = SHARED if entry.sharers else INVALID
         elif not entry.sharers:
-            entry.state = DirState.INVALID
-        if entry.state == DirState.INVALID:
-            self.directory.forget(block)
+            entry.state = INVALID
+        if entry.state == INVALID:
+            directory.forget(block)
 
     # ------------------------------------------------------------------
-
-    def _closest_sharer(self, entry: DirectoryEntry, domain: int) -> int:
-        """Pick the providing sharer.
-
-        The machine model refines the routing distance; functionally we
-        return the owner if there is one (Origin forwards from the
-        owner) else the lowest-numbered sharer, which is deterministic.
-        """
-        if entry.state.has_owner and entry.owner != domain:
-            return entry.owner
-        for d in entry.sharer_list():
-            if d != domain:
-                return d
-        raise CoherenceError("SHARED entry has no sharer other than requester")
 
     def _check_domain(self, domain: int) -> None:
         if not (0 <= domain < self.num_domains):
@@ -276,22 +268,22 @@ class CoherenceController:
         """
         for block, entry in list(self.directory._entries.items()):
             state = entry.state
-            if state == DirState.INVALID:
+            if state == INVALID:
                 if entry.sharers or entry.owner != -1:
                     raise CoherenceError(f"INVALID entry with residue: {entry!r}")
-            elif state == DirState.SHARED:
+            elif state == SHARED:
                 if entry.owner != -1:
                     raise CoherenceError(f"SHARED entry with owner: {entry!r}")
                 if not entry.sharers:
                     raise CoherenceError(f"SHARED entry with no sharers: {entry!r}")
-            elif state in (DirState.MODIFIED, DirState.OWNED):
+            elif state >= OWNED:
                 if entry.owner == -1:
                     raise CoherenceError(f"{state.name} entry without owner: {entry!r}")
                 if not entry.is_sharer(entry.owner):
                     raise CoherenceError(
                         f"{state.name} owner not in sharer set: {entry!r}"
                     )
-                if state == DirState.MODIFIED and entry.num_sharers != 1:
+                if state == MODIFIED and entry.num_sharers != 1:
                     raise CoherenceError(
                         f"MODIFIED entry with multiple sharers: {entry!r}"
                     )
@@ -302,3 +294,14 @@ class CoherenceController:
                             f"directory lists domain {d} for block {block:#x} "
                             "but the domain does not hold it"
                         )
+
+
+def _lowest_sharer(sharers: int) -> int:
+    """The providing sharer of a SHARED entry: the lowest-numbered one.
+
+    Deterministic; the requester is never a sharer here (``fetch``
+    checks), so this is the lowest sharer other than the requester.
+    """
+    if not sharers:
+        raise CoherenceError("SHARED entry has no sharer other than requester")
+    return (sharers & -sharers).bit_length() - 1

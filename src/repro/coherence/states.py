@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["DirState"]
+__all__ = ["DirState", "INVALID", "SHARED", "OWNED", "MODIFIED"]
 
 
 class DirState(enum.IntEnum):
@@ -38,4 +38,13 @@ class DirState(enum.IntEnum):
 
     @property
     def has_owner(self) -> bool:
-        return self in (DirState.OWNED, DirState.MODIFIED)
+        return self >= DirState.OWNED
+
+
+# The members as module constants: the protocol's hot path compares a
+# state against a global (``state == SHARED``, ``state >= OWNED`` for
+# "has an owner") instead of looking the member up on the enum class.
+INVALID = DirState.INVALID
+SHARED = DirState.SHARED
+OWNED = DirState.OWNED
+MODIFIED = DirState.MODIFIED

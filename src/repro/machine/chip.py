@@ -31,7 +31,7 @@ from ..caches.hierarchy import CoreCacheStack, L2Domain
 from ..caches.replacement import make_policy
 from ..coherence.directory import Directory
 from ..coherence.protocol import CoherenceController, DataSource
-from ..coherence.states import DirState
+from ..coherence.states import MODIFIED
 from ..errors import ConfigurationError
 from ..interconnect.analytical import AnalyticalMesh
 from ..interconnect.topology import MeshTopology
@@ -42,6 +42,22 @@ from .config import MachineConfig
 from .placement import DomainPlacement
 
 __all__ = ["Chip"]
+
+# Enum members as module constants: the hot path loads a global instead
+# of looking each member up on its enum class.
+_L0 = HitLevel.L0
+_L1 = HitLevel.L1
+_L2 = HitLevel.L2
+_L2_PEER = HitLevel.L2_PEER
+_C2C_CLEAN = HitLevel.C2C_CLEAN
+_C2C_DIRTY = HitLevel.C2C_DIRTY
+_MEMORY = HitLevel.MEMORY
+_FROM_MEMORY = DataSource.MEMORY
+_FROM_C2C_DIRTY = DataSource.C2C_DIRTY
+
+#: ``_new_result(AccessResult, fields)`` builds the record positionally,
+#: skipping the NamedTuple's generated ``__new__``
+_new_result = tuple.__new__
 
 
 class Chip:
@@ -104,6 +120,9 @@ class Chip:
         self._data_flits = config.data_flits
         self._domain_of = self.placement.domain_of
         self._home_tile = self.placement.home_tile
+        self._num_tiles = self.directory.num_tiles
+        self._controllers = self.memory.controllers
+        self._num_controllers = len(self.memory.controllers)
         # optional observer of the L2 access stream (see set_l2_tap)
         self.l2_tap = None
         # chip-level event counters
@@ -150,15 +169,15 @@ class Chip:
         lvl = stack.probe(block)
         if lvl is not None:
             if lvl == 0:
-                level, cache = HitLevel.L0, self._l0_latency
+                level, cache = _L0, self._l0_latency
             else:
-                level, cache = HitLevel.L1, self._private_latency
+                level, cache = _L1, self._private_latency
             if not is_write:
-                return AccessResult(level, cache, cache, 0, 0, 0)
+                return _new_result(AccessResult, (level, cache, cache, 0, 0, 0))
             net, dir_cycles = self._write_permission(core_id, block, now + cache)
             stack.mark_dirty(block)
-            latency = cache + net + dir_cycles
-            return AccessResult(level, latency, cache, net, dir_cycles, 0)
+            return _new_result(AccessResult, (
+                level, cache + net + dir_cycles, cache, net, dir_cycles, 0))
 
         # ---- local L2 domain -----------------------------------------
         domain_id = self._domain_of[core_id]
@@ -200,7 +219,7 @@ class Chip:
         t: int,
     ) -> AccessResult:
         stack = self.stacks[core_id]
-        level = HitLevel.L2
+        level = _L2
         owner_slot = domain.dirty_private_holder(block, exclude_slot=stack.slot)
         if owner_slot is not None:
             # a peer core in the domain holds the only modified copy:
@@ -221,7 +240,7 @@ class Chip:
                     peer_line.l1_owner = -1
             else:
                 domain.downgrade_owner(block, owner_slot)
-            level = HitLevel.L2_PEER
+            level = _L2_PEER
             self.intra_domain_transfers += 1
         else:
             # data returns from the domain cache
@@ -234,9 +253,10 @@ class Chip:
             )
             net += extra_net
         stack.fill(block, dirty=is_write)
-        self._drain_writebacks(domain, now + cache + net)
-        latency = cache + net + dir_cycles
-        return AccessResult(level, latency, cache, net, dir_cycles, 0)
+        if domain.writebacks_to_memory:
+            self._drain_writebacks(domain, now + cache + net)
+        return _new_result(AccessResult, (
+            level, cache + net + dir_cycles, cache, net, dir_cycles, 0))
 
     def _finish_l2_miss(
         self,
@@ -252,11 +272,13 @@ class Chip:
         t: int,
     ) -> AccessResult:
         stack = self.stacks[core_id]
-        outcome = self.coherence.fetch(block, domain_id, is_write)
+        source, provider, invalidate, fill_dirty, memory_writeback = (
+            self.coherence.fetch(block, domain_id, is_write))
         mesh = self.mesh
 
-        # request travels to the block's directory home tile
-        dir_home = self.directory.home_tile(block)
+        # request travels to the block's directory home tile (the
+        # directory stripes entries by block: home_tile(block))
+        dir_home = block % self._num_tiles
         net += mesh.traverse(home, dir_home, self._control_flits, t)
         dir_cycles = self._directory_latency
         if not self.directory.cache_access(block):
@@ -265,22 +287,21 @@ class Chip:
         t = now + cache + net + dir_cycles
 
         mem_cycles = 0
-        if outcome.source == DataSource.MEMORY:
-            controller = self.memory.controller_for(block)
+        if source == _FROM_MEMORY:
+            controller = self._controllers[block % self._num_controllers]
             net += mesh.traverse(dir_home, controller.tile, self._control_flits, t)
             t = now + cache + net + dir_cycles
             mem_cycles = controller.access(t, block)
             t += mem_cycles
             net += mesh.traverse(controller.tile, core_id, self._data_flits, t)
-            level = HitLevel.MEMORY
+            level = _MEMORY
         else:
-            provider = outcome.provider_domain
             provider_home = self._home_tile[provider]
             net += mesh.traverse(dir_home, provider_home, self._control_flits, t)
             t = now + cache + net + dir_cycles
             cache += self.l2_servers[provider].request(t)
             cache += self._l2_latency
-            if outcome.source == DataSource.C2C_DIRTY:
+            if source == _FROM_C2C_DIRTY:
                 pslot = self.domains[provider].dirty_private_holder(
                     block, exclude_slot=-1
                 )
@@ -289,16 +310,16 @@ class Chip:
                     cache += self._l1_latency
                     if not is_write:
                         self.domains[provider].downgrade_owner(block, pslot)
-                level = HitLevel.C2C_DIRTY
+                level = _C2C_DIRTY
             else:
-                level = HitLevel.C2C_CLEAN
+                level = _C2C_CLEAN
             t = now + cache + net + dir_cycles
             net += mesh.traverse(provider_home, core_id, self._data_flits, t)
 
         # invalidations fan out from the directory home (writes)
-        if outcome.invalidate_domains:
+        if invalidate:
             inval_latency = 0
-            for victim in outcome.invalidate_domains:
+            for victim in invalidate:
                 if victim == domain_id:
                     continue
                 leg = mesh.traverse(
@@ -308,22 +329,23 @@ class Chip:
                 self.domains[victim].invalidate(block)
             net += inval_latency
 
-        if outcome.memory_writeback:
-            self.memory.controller_for(block).writeback(t, block)
+        if memory_writeback:
+            self._controllers[block % self._num_controllers].writeback(t, block)
 
         # fill the domain and the private stack
-        vm_id = self.vm_of_core[core_id]
-        fill_dirty = outcome.fill_dirty or is_write
         victims = domain.fill(
-            block, dirty=fill_dirty, vm_id=vm_id, requester_slot=stack.slot
+            block, dirty=fill_dirty or is_write,
+            vm_id=self.vm_of_core[core_id], requester_slot=stack.slot
         )
         for victim_block, victim_dirty in victims:
             self.coherence.domain_evicted(victim_block, domain_id, victim_dirty)
         stack.fill(block, dirty=is_write)
-        self._drain_writebacks(domain, t)
+        if domain.writebacks_to_memory:
+            self._drain_writebacks(domain, t)
 
-        latency = cache + net + dir_cycles + mem_cycles
-        return AccessResult(level, latency, cache, net, dir_cycles, mem_cycles)
+        return _new_result(AccessResult, (
+            level, cache + net + dir_cycles + mem_cycles, cache, net,
+            dir_cycles, mem_cycles))
 
     # ------------------------------------------------------------------
     # write permission (upgrades)
@@ -341,11 +363,11 @@ class Chip:
             # Locally cached data always has a directory entry; treat a
             # missing one as INVALID (first touch was a warm preload).
             return 0, 0
-        if entry.state == DirState.MODIFIED and entry.owner == domain_id:
+        if entry.state == MODIFIED and entry.owner == domain_id:
             return 0, 0
         self.upgrade_transactions += 1
         mesh = self.mesh
-        dir_home = self.directory.home_tile(block)
+        dir_home = block % self._num_tiles
         net = mesh.traverse(core_id, dir_home, self._control_flits, t)
         dir_cycles = self._directory_latency
         if not self.directory.cache_access(block):
@@ -362,7 +384,8 @@ class Chip:
             inval_latency = max(inval_latency, 2 * leg)
             self.domains[victim].invalidate(block)
         if outcome.memory_writeback:
-            self.memory.controller_for(block).writeback(t2, block)
+            self._controllers[block % self._num_controllers].writeback(
+                t2, block)
         net += inval_latency
         net += mesh.traverse(dir_home, core_id, self._control_flits, t2)
         return net, dir_cycles
@@ -372,10 +395,10 @@ class Chip:
     def _drain_writebacks(self, domain: L2Domain, t: int) -> None:
         """Push queued dirty evictions into the memory controllers."""
         queue = domain.writebacks_to_memory
-        if queue:
-            for victim in queue:
-                self.memory.controller_for(victim).writeback(t, victim)
-            queue.clear()
+        controllers, count = self._controllers, self._num_controllers
+        for victim in queue:
+            controllers[victim % count].writeback(t, victim)
+        queue.clear()
 
     # ------------------------------------------------------------------
     # inspection

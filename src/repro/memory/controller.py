@@ -80,7 +80,8 @@ class MemoryController:
     def access(self, now: int, block: int = 0) -> int:
         """A demand read/fetch: returns its latency, bank + channel
         queueing plus the base latency."""
-        bank_wait = self._bank_for(block).request(now)
+        # the bank is _bank_for(block), picked inline on the hot path
+        bank_wait = self.banks[(block >> 4) % self.num_banks].request(now)
         channel_wait = self.channel.request(now + bank_wait)
         self.reads += 1
         return bank_wait + channel_wait + self.base_latency
@@ -88,7 +89,7 @@ class MemoryController:
     def writeback(self, now: int, block: int = 0) -> None:
         """A dirty eviction: consumes bank and channel bandwidth, off
         the requester's critical path (no latency returned)."""
-        bank_wait = self._bank_for(block).request(now)
+        bank_wait = self.banks[(block >> 4) % self.num_banks].request(now)
         self.channel.request(now + bank_wait)
         self.writebacks += 1
 
