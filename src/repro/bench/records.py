@@ -11,15 +11,20 @@ file is a single JSON object::
     {"schema": 1, "records": [ {...}, {...} ]}
 
 and every record carries the benchmark name, an ISO-8601 UTC
-timestamp, the parameters it ran with, and a flat ``metrics`` mapping
-of floats.  Appends are read-modify-write: history is never
-truncated, so plotting the trajectory is one ``json.load`` away.
+timestamp, the host it ran on (Python version, machine, core count and
+the commit of the checkout), the parameters it ran with, and a flat
+``metrics`` mapping of floats.  Appends are read-modify-write: history
+is never truncated, so plotting the trajectory is one ``json.load``
+away.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import platform
+import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,6 +36,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "BENCH_TARGETS",
     "BenchRecord",
+    "host_info",
+    "source_commit",
     "append_records",
     "load_bench_file",
     "validate_bench_payload",
@@ -40,6 +47,35 @@ SCHEMA_VERSION = 1
 
 BENCH_TARGETS = ("kernel", "sweep", "service")
 """Valid ``BenchRecord.target`` values, one ``BENCH_<t>.json`` each."""
+
+
+@functools.lru_cache(maxsize=None)
+def source_commit() -> str:
+    """Short hash of the commit this package was loaded from.
+
+    ``"unknown"`` when the package does not sit in a git checkout (an
+    installed copy, a ``git archive`` export) or git is unavailable.
+    """
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "--short=12", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    commit = done.stdout.strip()
+    return commit if done.returncode == 0 and commit else "unknown"
+
+
+def host_info() -> Dict[str, object]:
+    """The ``host`` stamp of a record."""
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cores": os.cpu_count() or 1,
+        "commit": source_commit(),
+    }
 
 
 @dataclass
@@ -63,10 +99,7 @@ class BenchRecord:
                 timespec="seconds"
             ),
             "quick": self.quick,
-            "host": {
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-            },
+            "host": host_info(),
             "params": dict(self.params),
             "metrics": {k: round(float(v), 6)
                         for k, v in self.metrics.items()},
@@ -94,11 +127,23 @@ def validate_bench_payload(payload: object, path: str = "<payload>") -> None:
                 raise ReproError(f"{where} missing required key {key!r}")
         if not isinstance(record["metrics"], dict):
             raise ReproError(f"{where}: 'metrics' must be an object")
+        _validate_host(record.get("host", {}), where)
         for name, value in record["metrics"].items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ReproError(
                     f"{where}: metric {name!r} must be a number"
                 )
+
+
+def _validate_host(host: object, where: str) -> None:
+    """Check a record's ``host`` stamp; older records lack some keys."""
+    if not isinstance(host, dict):
+        raise ReproError(f"{where}: 'host' must be an object")
+    cores = host.get("cores", 1)
+    if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
+        raise ReproError(f"{where}: host 'cores' must be a positive integer")
+    if not isinstance(host.get("commit", ""), str):
+        raise ReproError(f"{where}: host 'commit' must be a string")
 
 
 def load_bench_file(path: Union[str, Path]) -> dict:

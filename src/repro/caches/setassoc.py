@@ -4,7 +4,8 @@ The array stores arbitrary per-line values: :class:`repro.caches.line.L2Line`
 objects in the shared L2, a plain ``bool`` dirty flag in the private
 L0/L1.  Sets are backed by insertion-ordered dicts: hit promotion (for
 LRU) deletes and re-inserts the key; the victim is the head of the set
-for LRU and FIFO and the replacement policy's choice otherwise.  All operations are O(1) for LRU and FIFO.
+for LRU and FIFO and the replacement policy's choice otherwise.  All
+operations are O(1) for LRU and FIFO.
 
 This class is purely *functional* cache state — it knows nothing about
 latency, coherence, or the interconnect.  Timing composition happens in

@@ -79,3 +79,27 @@ class TestValidation:
         assert set(data) >= {"bench", "timestamp", "quick", "host",
                              "params", "metrics"}
         json.dumps(data)  # JSON-serializable end to end
+
+    def test_host_carries_commit_and_core_count(self):
+        host = record().to_dict()["host"]
+        assert isinstance(host["cores"], int) and host["cores"] >= 1
+        assert isinstance(host["commit"], str) and host["commit"]
+        validate_bench_payload(
+            {"schema": 1, "records": [record().to_dict()]})
+
+    def test_records_without_commit_or_cores_still_validate(self):
+        # history written before the host stamp grew stays loadable
+        payload = {"schema": 1, "records": [{
+            "bench": "x", "timestamp": "t", "params": {}, "metrics": {},
+            "host": {"python": "3.11.7", "machine": "x86_64"}}]}
+        validate_bench_payload(payload)
+
+    @pytest.mark.parametrize("host", [
+        [], {"cores": 0}, {"cores": "2"}, {"cores": True},
+        {"commit": 123}])
+    def test_malformed_host_rejected(self, host):
+        payload = {"schema": 1, "records": [{
+            "bench": "x", "timestamp": "t", "params": {}, "metrics": {},
+            "host": host}]}
+        with pytest.raises(ReproError):
+            validate_bench_payload(payload)
