@@ -36,8 +36,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "BENCH_TARGETS",
     "BenchRecord",
-    "host_info",
-    "source_commit",
     "append_records",
     "load_bench_file",
     "validate_bench_payload",
@@ -50,7 +48,7 @@ BENCH_TARGETS = ("kernel", "sweep", "service")
 
 
 @functools.lru_cache(maxsize=None)
-def source_commit() -> str:
+def _source_commit() -> str:
     """Short hash of the commit this package was loaded from.
 
     ``"unknown"`` when the package does not sit in a git checkout (an
@@ -68,13 +66,13 @@ def source_commit() -> str:
     return commit if done.returncode == 0 and commit else "unknown"
 
 
-def host_info() -> Dict[str, object]:
+def _host_info() -> Dict[str, object]:
     """The ``host`` stamp of a record."""
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cores": os.cpu_count() or 1,
-        "commit": source_commit(),
+        "commit": _source_commit(),
     }
 
 
@@ -99,7 +97,7 @@ class BenchRecord:
                 timespec="seconds"
             ),
             "quick": self.quick,
-            "host": host_info(),
+            "host": _host_info(),
             "params": dict(self.params),
             "metrics": {k: round(float(v), 6)
                         for k, v in self.metrics.items()},
